@@ -14,6 +14,7 @@
 // baseline stays in laptop territory.
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -21,14 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "harness.h"
-
-#if STREAMQ_DURABILITY_ENABLED
-#include <chrono>
-
 #include "durability/storage.h"
+#include "harness.h"
 #include "obs/metrics.h"
-#endif
 
 namespace streamq::bench {
 namespace {
@@ -193,9 +189,7 @@ int Main(int argc, char** argv) {
   // recovery latency, both on in-memory storage so the numbers measure
   // the pipeline's framing/CRC/buffering work, not the host's disk. The
   // checker validates structure and sanity only -- like the ingest sweep,
-  // wall-clock here is thread-timing dependent. `null` in a
-  // -DSTREAMQ_DURABILITY=OFF build.
-#if STREAMQ_DURABILITY_ENABLED
+  // wall-clock here is thread-timing dependent.
   {
     DatasetSpec spec = BaselineDatasets(n)[0].spec;  // uniform-random
     const std::vector<uint64_t> data = GenerateDataset(spec);
@@ -287,9 +281,6 @@ int Main(int argc, char** argv) {
     }
     json += "\n    ]\n  },\n";
   }
-#else
-  json += "  \"durability\": null,\n";
-#endif
 
   // Trace-overhead section (schema_version 4): always null here. The
   // comparison needs binaries from TWO build configurations (the "off"

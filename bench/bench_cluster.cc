@@ -31,12 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "harness.h"
-
-#if STREAMQ_DURABILITY_ENABLED
-
 #include "cluster/cluster.h"
 #include "durability/storage.h"
+#include "harness.h"
 
 namespace streamq::bench {
 namespace {
@@ -259,16 +256,3 @@ int Main(int argc, char** argv) {
 }  // namespace streamq::bench
 
 int main(int argc, char** argv) { return streamq::bench::Main(argc, argv); }
-
-#else  // !STREAMQ_DURABILITY_ENABLED
-
-#include <cstdio>
-
-int main() {
-  std::fprintf(stderr,
-               "bench_cluster requires -DSTREAMQ_DURABILITY=ON (the cluster "
-               "failover lane recovers a node from its WAL)\n");
-  return 1;
-}
-
-#endif  // STREAMQ_DURABILITY_ENABLED

@@ -19,16 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "harness.h"
-
-#if STREAMQ_DURABILITY_ENABLED
 #include "durability/storage.h"
-#endif
+#include "harness.h"
 
 namespace streamq::bench {
 namespace {
-
-#if STREAMQ_DURABILITY_ENABLED
 
 struct DurabilityRun {
   double ns_per_update = 0.0;
@@ -184,17 +179,6 @@ int Main() {
   }
   return 0;
 }
-
-#else  // !STREAMQ_DURABILITY_ENABLED
-
-int Main() {
-  std::printf(
-      "bench_durability: built with -DSTREAMQ_DURABILITY=OFF; nothing to "
-      "measure\n");
-  return 0;
-}
-
-#endif
 
 }  // namespace
 }  // namespace streamq::bench

@@ -25,14 +25,11 @@
 //
 // Scale knobs: STREAMQ_SCALE as everywhere (base counts below).
 
-#include <cstdio>
-
-#if STREAMQ_NET_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -333,14 +330,3 @@ int Main(int argc, char** argv) {
 }  // namespace streamq::bench
 
 int main(int argc, char** argv) { return streamq::bench::Main(argc, argv); }
-
-#else  // !STREAMQ_NET_ENABLED
-
-int main() {
-  std::fprintf(stderr,
-               "bench_net_resilience requires -DSTREAMQ_NET=ON (the network "
-               "service tier is compiled out)\n");
-  return 1;
-}
-
-#endif  // STREAMQ_NET_ENABLED

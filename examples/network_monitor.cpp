@@ -15,9 +15,6 @@
 // sites), cluster_ingest.cpp (multi-node durable data path).
 
 #include <cstdio>
-
-#if STREAMQ_NET_ENABLED
-
 #include <memory>
 #include <string>
 #include <thread>
@@ -61,9 +58,8 @@ int main() {
   net::CreateParams params;
   params.algorithm = "Random";
   params.eps = 0.001;
-  // FLUSH acks below are real durability marks (when the build carries the
-  // durability tier; otherwise they are drain barriers).
-  params.durable = STREAMQ_DURABILITY_ENABLED != 0;
+  // FLUSH acks below are real durability marks.
+  params.durable = true;
   net::NetResponse resp = client->Create("rtt", params);
   if (!resp.ok()) {
     std::fprintf(stderr, "CREATE failed: %s\n", resp.message.c_str());
@@ -148,13 +144,3 @@ int main() {
               "and every flush-ack was a durable mark.\n");
   return 0;
 }
-
-#else  // !STREAMQ_NET_ENABLED
-
-int main() {
-  std::printf("network_monitor: built with -DSTREAMQ_NET=OFF; the network "
-              "service tier is compiled out.\n");
-  return 0;
-}
-
-#endif  // STREAMQ_NET_ENABLED

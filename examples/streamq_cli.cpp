@@ -3,8 +3,8 @@
 // Local (the original): reads whitespace-separated numbers from stdin,
 // sketches them in-process, prints requested quantiles.
 //
-//   $ seq 1 1000000 | shuf | ./streamq_cli --algo=GKArray --eps=0.001 \
-//         --phi=0.5,0.9,0.99
+//   $ seq 1 1000000 | shuf |
+//         ./streamq_cli --algo=GKArray --eps=0.001 --phi=0.5,0.9,0.99
 //
 // Client (network tier): connects to a running streamq server and drives
 // the wire protocol interactively -- CREATE/INSERT/QUERY/RANK/FLUSH/
@@ -30,13 +30,10 @@
 #include <string>
 #include <vector>
 
-#include "quantile/factory.h"
-#include "util/float_order.h"
-
-#if STREAMQ_NET_ENABLED
 #include "net/client.h"
 #include "obs/audit.h"
-#endif
+#include "quantile/factory.h"
+#include "util/float_order.h"
 
 namespace {
 
@@ -53,8 +50,6 @@ void Usage() {
                "local mode reads whitespace-separated numbers from stdin;\n"
                "connect mode reads protocol commands (type 'help')\n");
 }
-
-#if STREAMQ_NET_ENABLED
 
 void ConnectHelp() {
   std::printf(
@@ -255,22 +250,6 @@ int RunConnectMode(const std::string& endpoint) {
   }
   return 0;
 }
-
-#else  // !STREAMQ_NET_ENABLED
-
-int RunConnectMode(const std::string&) {
-  std::fprintf(stderr,
-               "connect mode requires a build with -DSTREAMQ_NET=ON\n");
-  return 2;
-}
-
-int RunAuditMode(const std::string&, const std::string&) {
-  std::fprintf(stderr,
-               "audit mode requires a build with -DSTREAMQ_NET=ON\n");
-  return 2;
-}
-
-#endif  // STREAMQ_NET_ENABLED
 
 }  // namespace
 

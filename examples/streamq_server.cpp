@@ -15,11 +15,8 @@
 // one-line drain summary; SIGINT shuts down immediately. Both handlers
 // are async-signal-safe: an atomic flag plus a self-pipe write.
 
-#include <cstdio>
-
-#if STREAMQ_NET_ENABLED
-
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -143,16 +140,9 @@ int main(int argc, char** argv) {
     }
   }
 
-#if STREAMQ_DURABILITY_ENABLED
   durability::PosixStorage storage;
   server_options.storage = &storage;
   server_options.data_dir = data_dir;
-  const char* durability_note = data_dir.c_str();
-#else
-  // No durability tier in this build: CREATE with durable=true is refused
-  // with kUnsupported, everything else serves normally.
-  const char* durability_note = "(durability compiled out)";
-#endif
 
   net::StreamqServer server(server_options);
   auto reactor = net::Reactor::Create(&server, reactor_options);
@@ -169,7 +159,7 @@ int main(int argc, char** argv) {
 
   std::printf("serving on %s:%u (%s backend), data dir %s\n",
               reactor_options.bind_addr.c_str(), reactor->port(),
-              reactor->using_epoll() ? "epoll" : "poll", durability_note);
+              reactor->using_epoll() ? "epoll" : "poll", data_dir.c_str());
   std::printf("metrics: curl http://%s:%u/metrics\n",
               reactor_options.bind_addr.c_str(), reactor->port());
   if (server_options.audit) {
@@ -204,13 +194,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-#else  // !STREAMQ_NET_ENABLED
-
-int main() {
-  std::printf("streamq_server: built with -DSTREAMQ_NET=OFF; the network "
-              "service tier is compiled out.\n");
-  return 0;
-}
-
-#endif  // STREAMQ_NET_ENABLED

@@ -18,10 +18,10 @@ Schema checks (always):
     mergeable algorithm, a known dataset, and a thread sweep starting at
     1 thread with positive throughput and merged accuracy within the
     algorithm's slack
-  * schema_version 3 additionally requires a durability section (null in
-    a -DSTREAMQ_DURABILITY=OFF build): a mode list containing the
-    wal_off baseline plus at least one WAL-on mode whose wal_bytes and
-    wal_syncs are positive; timings are sanity-checked, never gated
+  * schema_version 3 additionally requires a durability section: a mode
+    list containing the wal_off baseline plus at least one WAL-on mode
+    whose wal_bytes and wal_syncs are positive; timings are
+    sanity-checked, never gated
   * schema_version 4 additionally requires a trace_overhead section
     (null straight out of bench_baseline; the committed baseline carries
     the merged bench_trace_overhead lanes, see
@@ -377,17 +377,13 @@ def check_parallel_ingest(section, eps, path):
 def check_durability(section, path):
     """Schema check of the durability cost section (no regression gate).
 
-    `null` is legal -- it is what a -DSTREAMQ_DURABILITY=OFF build emits --
-    but the committed baseline is produced by the default ON build, so a
-    null there would be regenerated-from-the-wrong-config and still obvious
-    in review.
+    bench_baseline always measures this section itself, so `null` is not
+    legal here (unlike the sections spliced in from other benches).
     """
     where = f"{path}: durability"
     errors = 0
-    if section is None:
-        return 0
     if not isinstance(section, dict):
-        return fail(f"{where}: not an object (or null)")
+        return fail(f"{where}: not an object")
     for key in ("algorithm", "dataset", "n", "modes"):
         if key not in section:
             errors += fail(f"{where}: missing key '{key}'")
@@ -661,11 +657,10 @@ def check_net(section, path):
     """Schema + batch-speedup gate for the net section.
 
     `null` is legal -- bench_baseline always emits it (the network sweep
-    is bench_net's own workload) and a -DSTREAMQ_NET=OFF build has nothing
-    to measure. The committed baseline must carry the real section,
-    spliced in with scripts/merge_net_bench.py. Query latencies are
-    sanity-checked, never gated (scheduling noise); the batch-vs-single
-    throughput RATIO at 1 client is hard-gated.
+    is bench_net's own workload). The committed baseline must carry the
+    real section, spliced in with scripts/merge_net_bench.py. Query
+    latencies are sanity-checked, never gated (scheduling noise); the
+    batch-vs-single throughput RATIO at 1 client is hard-gated.
     """
     where = f"{path}: net"
     errors = 0
@@ -768,10 +763,9 @@ def check_net_resilience(section, path):
     """Schema + faulty/clean throughput-ratio gate for net_resilience.
 
     `null` is legal -- bench_baseline always emits it (the chaos lanes
-    are bench_net_resilience's own workload) and a -DSTREAMQ_NET=OFF
-    build has nothing to measure. Recovery latencies are sanity-checked,
-    never gated (they ride on backoff jitter and scheduling); the
-    faulty-vs-clean throughput RATIO is hard-gated.
+    are bench_net_resilience's own workload). Recovery latencies are
+    sanity-checked, never gated (they ride on backoff jitter and
+    scheduling); the faulty-vs-clean throughput RATIO is hard-gated.
     """
     where = f"{path}: net_resilience"
     errors = 0

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Fails when a repo markdown file references a file that does not exist,
-or when a source subsystem is documented nowhere.
+when a source subsystem is documented nowhere, or when a doc names a
+build flag the build does not have.
 
 Usage: check_docs_links.py [REPO_ROOT]
 
-Two checks:
+Three checks:
 
 1. Dangling references: scans the repo's top-level *.md files for
    references to repo files -- markdown links, inline code spans like
@@ -18,6 +19,12 @@ Two checks:
    mentioned as `src/<name>` somewhere in DESIGN.md. A subsystem the
    design document never names is either undocumented (fix DESIGN.md) or
    dead (delete it); both are CI failures.
+
+3. Build flags: every `-DSTREAMQ_<NAME>` in README.md, DESIGN.md,
+   EXPERIMENTS.md and .claude/skills/verify/SKILL.md must be an option()
+   or cache variable of the top-level CMakeLists.txt. cmake only warns
+   about an unused -D, so a removed switch left in the docs would keep
+   "working" while doing nothing.
 
 Exit code 0 = clean, 1 = problems (listed on stderr).
 """
@@ -39,6 +46,13 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)\)")
 
 # External references we never check.
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+# Docs whose -DSTREAMQ_<NAME> flags must exist in the top-level build.
+FLAG_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+             os.path.join(".claude", "skills", "verify", "SKILL.md"))
+DOC_FLAG = re.compile(r"-D(STREAMQ_[A-Z0-9_]+)")
+CMAKE_OPTION = re.compile(r"\boption\(\s*(STREAMQ_\w+)")
+CMAKE_CACHE_VAR = re.compile(r"\bset\(\s*(STREAMQ_\w+)\b[^)]*?\bCACHE\b")
 
 
 def looks_like_path(token):
@@ -138,6 +152,25 @@ def orphan_subsystems(root):
     return orphans
 
 
+def unknown_build_flags(root):
+    """(doc, flag) pairs naming a -DSTREAMQ_* the top-level build lacks."""
+    cmake = os.path.join(root, "CMakeLists.txt")
+    if not os.path.isfile(cmake):
+        return []
+    with open(cmake, "r", encoding="utf-8") as f:
+        text = f.read()
+    known = set(CMAKE_OPTION.findall(text)) | set(CMAKE_CACHE_VAR.findall(text))
+    unknown = []
+    for doc in FLAG_DOCS:
+        path = os.path.join(root, doc)
+        if not os.path.isfile(path):
+            continue
+        with open(path, "r", encoding="utf-8") as f:
+            flags = set(DOC_FLAG.findall(f.read()))
+        unknown.extend((doc, flag) for flag in sorted(flags - known))
+    return unknown
+
+
 def main():
     root = os.path.abspath(sys.argv[1]) if len(sys.argv) > 1 else os.getcwd()
     md_files = sorted(glob.glob(os.path.join(root, "*.md")))
@@ -151,17 +184,22 @@ def main():
         dangling.extend(check_file(root, md))
 
     orphans = orphan_subsystems(root)
+    bad_flags = unknown_build_flags(root)
 
-    if dangling or orphans:
+    if dangling or orphans or bad_flags:
         for md, path in dangling:
             print(f"check_docs_links: {os.path.relpath(md, root)} references "
                   f"missing file: {path}", file=sys.stderr)
         for name in orphans:
             print(f"check_docs_links: src/{name}/ is not documented in "
                   f"DESIGN.md (orphan subsystem)", file=sys.stderr)
+        for doc, flag in bad_flags:
+            print(f"check_docs_links: {doc} documents -D{flag}, which is "
+                  f"not an option or cache variable of CMakeLists.txt",
+                  file=sys.stderr)
         return 1
     print(f"check_docs_links: {len(md_files)} markdown files OK, "
-          f"no orphan subsystems")
+          f"no orphan subsystems, every documented build flag exists")
     return 0
 
 

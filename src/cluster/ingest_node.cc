@@ -5,12 +5,9 @@
 
 #include "cluster/wire.h"
 #include "distributed/ack.h"
+#include "durability/storage.h"
 #include "obs/trace.h"
 #include "quantile/factory.h"
-
-#if STREAMQ_DURABILITY_ENABLED
-#include "durability/storage.h"
-#endif
 
 namespace streamq::cluster {
 
@@ -28,7 +25,6 @@ std::unique_ptr<IngestNode> IngestNode::Create(
   if (pipeline == nullptr) return nullptr;
   std::unique_ptr<IngestNode> node(
       new IngestNode(options, std::move(pipeline)));
-#if STREAMQ_DURABILITY_ENABLED
   const durability::DurabilityOptions& d = options.pipeline.durability;
   if (d.enabled && d.storage != nullptr) {
     // Resume the epoch horizon above everything a previous incarnation may
@@ -42,7 +38,6 @@ std::unique_ptr<IngestNode> IngestNode::Create(
       node->last_acked_epoch_ = meta.last_sent_epoch;
     }
   }
-#endif
   if (node->pipeline_->recovery().recovered) {
     // Re-offer the recovered state proactively instead of waiting for the
     // count trigger or a coordinator probe.
@@ -136,7 +131,6 @@ void IngestNode::ShipComplete(uint64_t now, FaultyChannel& tx) {
 }
 
 void IngestNode::PersistMeta() {
-#if STREAMQ_DURABILITY_ENABLED
   const durability::DurabilityOptions& d = options_.pipeline.durability;
   if (!d.enabled || d.storage == nullptr) return;
   NodeMeta meta;
@@ -147,7 +141,6 @@ void IngestNode::PersistMeta() {
   // the next incarnation resyncs via the ack fast-forward instead.
   durability::AtomicWriteFile(*d.storage, MetaPath(options_.pipeline),
                               EncodeNodeMeta(meta));
-#endif
 }
 
 }  // namespace streamq::cluster

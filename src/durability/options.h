@@ -1,7 +1,6 @@
-// Durability knobs for the ingest pipeline. This header is always
-// compiled -- even under -DSTREAMQ_DURABILITY=OFF -- so IngestOptions
-// keeps a stable layout; only the implementation (wal.cc, checkpoint.cc,
-// storage.cc and the pipeline's durable paths) is compiled out.
+// Durability knobs for the ingest pipeline (IngestOptions::durability).
+// Durability is a runtime choice: a pipeline built with `enabled` false
+// never touches the WAL or checkpoint code.
 
 #ifndef STREAMQ_DURABILITY_OPTIONS_H_
 #define STREAMQ_DURABILITY_OPTIONS_H_
@@ -16,8 +15,7 @@ class Storage;
 struct DurabilityOptions {
   /// Master switch. When false the pipeline runs exactly as before (no
   /// WAL, no checkpoints, no recovery). When true, `storage` must be
-  /// non-null and the build must have durability compiled in, otherwise
-  /// IngestPipeline::Create returns nullptr.
+  /// non-null, otherwise IngestPipeline::Create returns nullptr.
   bool enabled = false;
 
   /// Unowned; must outlive the pipeline. Typically PosixStorage in

@@ -4,13 +4,10 @@
 #include <cassert>
 #include <chrono>
 
-#include "obs/trace.h"
-
-#if STREAMQ_DURABILITY_ENABLED
 #include "durability/checkpoint.h"
 #include "durability/storage.h"
 #include "durability/wal.h"
-#endif
+#include "obs/trace.h"
 
 namespace streamq::ingest {
 
@@ -117,13 +114,11 @@ uint64_t ShadowSeed(uint64_t base, size_t shard) {
 /// and synchronises internally. The plain fields are worker-private after
 /// Start (recovery writes them before the worker thread exists).
 struct IngestPipeline::ShardDurable {
-#if STREAMQ_DURABILITY_ENABLED
   std::unique_ptr<durability::WalWriter> wal;
   /// Highest seq folded into the shard sketch (recovery seed + live).
   uint64_t applied_seq = 0;
   /// Updates logged since the last WAL fsync.
   uint64_t since_sync = 0;
-#endif
 };
 
 IngestPipeline::Shard::Shard(size_t ring_capacity) : ring(ring_capacity) {}
@@ -132,7 +127,6 @@ IngestPipeline::Shard::~Shard() = default;
 /// Pipeline-level durable state: the checkpoint store plus the checkpoint
 /// lock and everything it guards.
 struct IngestPipeline::PipelineDurable {
-#if STREAMQ_DURABILITY_ENABLED
   std::string wal_dir;
   std::unique_ptr<durability::CheckpointStore> store;
   std::mutex checkpoint_mutex;
@@ -148,18 +142,13 @@ struct IngestPipeline::PipelineDurable {
   std::vector<std::pair<int, uint64_t>> old_segments;
   /// Processed total covered by the newest checkpoint (interval trigger).
   std::atomic<uint64_t> last_checkpoint_processed{0};
-#endif
 };
 
 std::unique_ptr<IngestPipeline> IngestPipeline::Create(
     const IngestOptions& options) {
   if (options.shards < 1 || options.batch_size == 0) return nullptr;
-  if (options.durability.enabled) {
-#if STREAMQ_DURABILITY_ENABLED
-    if (options.durability.storage == nullptr) return nullptr;
-#else
-    return nullptr;  // compiled out (-DSTREAMQ_DURABILITY=OFF)
-#endif
+  if (options.durability.enabled && options.durability.storage == nullptr) {
+    return nullptr;
   }
   // Probe the config: the pipeline needs Merge (to combine shards) and
   // Clone (to snapshot them). GK-family summaries fail the first, RSS and
@@ -206,7 +195,6 @@ IngestPipeline::IngestPipeline(const IngestOptions& options)
 }
 
 bool IngestPipeline::InitDurability() {
-#if STREAMQ_DURABILITY_ENABLED
   PipelineDurable& d = *durable_;
   durability::Storage& storage = *options_.durability.storage;
   d.wal_dir = options_.durability.dir + "/wal";
@@ -380,9 +368,6 @@ bool IngestPipeline::InitDurability() {
   // the first post-restart update arrived.
   if (recovery_.recovered) PublishMergedView(/*block=*/true);
   return true;
-#else
-  return false;
-#endif
 }
 
 void IngestPipeline::Start() {
@@ -425,7 +410,7 @@ void IngestPipeline::Push(const Update& update) {
   const int shard_idx = router_.Route(seq, update.value);
   Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
   const SeqUpdate item{seq, update};
-  if (!shard.ring.TryPush(item)) PushSlow(shard, shard_idx, item);
+  if (!shard.ring.TryPush(item)) PushBatchSlow(shard, shard_idx, &item, 1);
   // last_seq before next_seq_; see TryPush for the DurableSeq ordering
   // argument.
   shard.stats.last_seq.store(seq, std::memory_order_release);
@@ -535,60 +520,22 @@ size_t IngestPipeline::TryPushBatch(std::span<const Update> updates) {
   return accepted;
 }
 
-void IngestPipeline::PushSlow(Shard& shard, int shard_idx,
-                              const SeqUpdate& item) {
+void IngestPipeline::PushBatchSlow(Shard& shard, int shard_idx,
+                                   const SeqUpdate* items, size_t n) {
   // Backpressure: the ring bounds memory, so a producer outrunning a
   // worker waits here instead of growing a queue. Capped exponential
   // backoff: brief yields catch the common blip without latency cost,
-  // then doubling sleeps stop a long stall from burning a core. One
-  // episode counts one ring_full_stall; the watchdog ticks every 100 ms
-  // of continuous stalling so a wedged consumer shows up in metrics while
-  // the stall is still in progress (and, on the first trip, freezes the
-  // flight recorder into a crash dump while the evidence is fresh).
-  STREAMQ_TRACE_SPAN(obs::TracePoint::kPushBackoff, shard_idx);
-  using Clock = std::chrono::steady_clock;
-  constexpr auto kMaxDelay = std::chrono::microseconds(1000);
-  constexpr auto kWatchdogPeriod = std::chrono::milliseconds(100);
-  constexpr int kYieldSpins = 16;
-  const Clock::time_point start = Clock::now();
-  Clock::time_point next_watchdog = start + kWatchdogPeriod;
-  auto delay = std::chrono::microseconds(1);
-  int spins = 0;
-  shard.stats.ring_full_stalls.fetch_add(1, std::memory_order_relaxed);
-  while (!shard.ring.TryPush(item)) {
-    if (spins < kYieldSpins) {
-      ++spins;
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(delay);
-      delay = std::min(delay * 2, kMaxDelay);
-      const Clock::time_point now = Clock::now();
-      if (now >= next_watchdog) {
-        shard.stats.stall_watchdog_trips.fetch_add(
-            1, std::memory_order_relaxed);
-        STREAMQ_TRACE_INSTANT(obs::TracePoint::kStallWatchdog, shard_idx);
-        STREAMQ_TRACE_CRASH_DUMP("stall_watchdog");
-        next_watchdog = now + kWatchdogPeriod;
-      }
-    }
-  }
-  const uint64_t stall_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           start)
-          .count());
-  std::lock_guard<std::mutex> lock(stall_mutex_);
-  ring_full_stall_ns_.Record(stall_ns);
-}
-
-void IngestPipeline::PushBatchSlow(Shard& shard, int shard_idx,
-                                   const SeqUpdate* items, size_t n) {
-  // Same backoff/watchdog contract as PushSlow, amortised over the rest of
-  // one shard run: the whole episode -- however many partial multi-slot
-  // pushes it takes -- ticks ring_full_stalls ONCE and records its total
-  // duration ONCE, so batched producers neither inflate nor starve the
-  // stall signal relative to item-wise ones. Progress resets the backoff
-  // ladder (a partial push means the worker is draining, so the next retry
-  // yields before it sleeps again) but not the episode.
+  // then doubling sleeps stop a long stall from burning a core. The whole
+  // episode -- however many partial multi-slot pushes it takes -- ticks
+  // ring_full_stalls ONCE and records its total duration ONCE, so batched
+  // producers neither inflate nor starve the stall signal relative to
+  // item-wise ones (Push comes here with n == 1). Progress resets the
+  // backoff ladder (a partial push means the worker is draining, so the
+  // next retry yields before it sleeps again) but not the episode. The
+  // watchdog ticks every 100 ms of continuous stalling so a wedged
+  // consumer shows up in metrics while the stall is still in progress
+  // (and, on the first trip, freezes the flight recorder into a crash dump
+  // while the evidence is fresh).
   STREAMQ_TRACE_SPAN(obs::TracePoint::kPushBackoff, shard_idx);
   using Clock = std::chrono::steady_clock;
   constexpr auto kMaxDelay = std::chrono::microseconds(1000);
@@ -637,11 +584,9 @@ void IngestPipeline::WorkerLoop(Shard& shard) {
   // Gather scratch for ApplyEntries' delta == +1 runs (reused per batch).
   std::vector<uint64_t> apply_scratch;
   apply_scratch.reserve(options_.batch_size);
-#if STREAMQ_DURABILITY_ENABLED
   const bool durable = shard.durable != nullptr;
   std::vector<durability::WalEntry> wal_batch;
   if (durable) wal_batch.reserve(options_.batch_size);
-#endif
 #if STREAMQ_AUDIT_ENABLED
   obs::ReservoirShadow* const shadow = shard.shadow.get();
 #else
@@ -649,16 +594,19 @@ void IngestPipeline::WorkerLoop(Shard& shard) {
 #endif
   uint64_t since_publish = 0;
   for (;;) {
+    // The producer stops pushing before setting stop_, so an empty ring
+    // observed after the flag is a drained ring. Read the flag BEFORE the
+    // pop: reading it after the idle work below would let values pushed
+    // during that work be left in the ring at exit.
+    const bool stopping = stop_.load(std::memory_order_acquire);
     const size_t n = shard.ring.PopBatch(batch.data(), batch.size());
     if (n == 0) {
-#if STREAMQ_DURABILITY_ENABLED
       if (durable && shard.durable->since_sync > 0) {
         // Idle fsync: the ack mark catches up to everything applied
         // whenever ingestion pauses (this is also what lets Flush wait
         // for durability without signalling the worker).
         if (shard.durable->wal->Sync()) shard.durable->since_sync = 0;
       }
-#endif
       // Idle: bring the shard snapshot up to date so Flush (and queries)
       // see everything processed, then help refresh the merged view.
       if (shard.stats.snapshot_epoch.load(std::memory_order_relaxed) !=
@@ -666,15 +614,12 @@ void IngestPipeline::WorkerLoop(Shard& shard) {
         PublishShardSnapshot(shard);
         PublishMergedView(/*block=*/false);
       }
-      // The producer stops pushing before setting stop_, so an empty ring
-      // observed after the flag is a drained ring.
-      if (stop_.load(std::memory_order_acquire)) break;
+      if (stopping) break;
       std::this_thread::yield();
       continue;
     }
     uint64_t rejected = 0;
     STREAMQ_TRACE_SPAN(obs::TracePoint::kWorkerBatch, n);
-#if STREAMQ_DURABILITY_ENABLED
     if (durable) {
       // Log-ahead, then apply. Seqs at or below the recovered high-water
       // mark are re-pushed duplicates: already durable, already in the
@@ -711,9 +656,7 @@ void IngestPipeline::WorkerLoop(Shard& shard) {
           if (shard.durable->wal->Sync()) shard.durable->since_sync = 0;
         }
       }
-    } else
-#endif
-    {
+    } else {
       rejected += ApplyEntries(
           *shard.sketch, shadow, batch.data(), n, apply_scratch,
           [](const SeqUpdate& u) { return u.update.value; },
@@ -745,11 +688,9 @@ void IngestPipeline::PublishShardSnapshot(Shard& shard) {
   snapshot->sketch = shard.sketch->Clone();
   assert(snapshot->sketch != nullptr);  // Create() verified clonability
   snapshot->processed = processed;
-#if STREAMQ_DURABILITY_ENABLED
   if (shard.durable != nullptr) {
     snapshot->applied_seq = shard.durable->applied_seq;
   }
-#endif
 #if STREAMQ_AUDIT_ENABLED
   if (shard.shadow != nullptr) snapshot->shadow = shard.shadow->Clone();
 #endif
@@ -803,7 +744,6 @@ void IngestPipeline::PublishMergedView(bool block) {
 }
 
 void IngestPipeline::MaybeCheckpoint(bool block) {
-#if STREAMQ_DURABILITY_ENABLED
   if (durable_ == nullptr) return;
   PipelineDurable& d = *durable_;
   if (!block) {
@@ -826,13 +766,9 @@ void IngestPipeline::MaybeCheckpoint(bool block) {
     }
   }
   WriteCheckpointLocked();
-#else
-  (void)block;
-#endif
 }
 
 bool IngestPipeline::WriteCheckpointLocked() {
-#if STREAMQ_DURABILITY_ENABLED
   PipelineDurable& d = *durable_;
   const obs::ScopedTimer timer(&d.checkpoint_ticks);
   STREAMQ_TRACE_SPAN(obs::TracePoint::kCheckpointWrite, d.next_checkpoint_id);
@@ -882,13 +818,9 @@ bool IngestPipeline::WriteCheckpointLocked() {
   // grows from there, so this checkpoint dominates every old record.
   PruneOldSegmentsLocked();
   return true;
-#else
-  return false;
-#endif
 }
 
 void IngestPipeline::PruneOldSegmentsLocked() {
-#if STREAMQ_DURABILITY_ENABLED
   PipelineDurable& d = *durable_;
   if (d.old_segments.empty()) return;
   STREAMQ_TRACE_SPAN(obs::TracePoint::kCheckpointPrune, d.old_segments.size());
@@ -897,21 +829,15 @@ void IngestPipeline::PruneOldSegmentsLocked() {
         d.wal_dir + "/" + durability::WalSegmentName(shard_idx, seg));
   }
   d.old_segments.clear();
-#endif
 }
 
 bool IngestPipeline::Checkpoint() {
-#if STREAMQ_DURABILITY_ENABLED
   if (durable_ == nullptr) return false;
   std::lock_guard<std::mutex> lock(durable_->checkpoint_mutex);
   return WriteCheckpointLocked();
-#else
-  return false;
-#endif
 }
 
 uint64_t IngestPipeline::DurableSeq() const {
-#if STREAMQ_DURABILITY_ENABLED
   if (durable_ == nullptr) return 0;
   // A shard constrains the global mark only while some seq routed to it
   // is still above its durability floor (max of WAL-synced and
@@ -931,9 +857,6 @@ uint64_t IngestPipeline::DurableSeq() const {
     if (floor < last) result = std::min(result, floor);
   }
   return result;
-#else
-  return 0;
-#endif
 }
 
 void IngestPipeline::Flush() {
@@ -946,7 +869,6 @@ void IngestPipeline::Flush() {
                shard->stats.processed.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-#if STREAMQ_DURABILITY_ENABLED
     if (shard->durable != nullptr) {
       // Then for durability: idle workers fsync on their own, so the
       // shard's floor climbs to its last routed seq -- unless its WAL
@@ -961,7 +883,6 @@ void IngestPipeline::Flush() {
         std::this_thread::yield();
       }
     }
-#endif
   }
   PublishMergedView(/*block=*/true);
 }
@@ -1091,7 +1012,6 @@ void IngestPipeline::PublishMetrics(obs::MetricsRegistry& registry,
         shard.stats.stall_watchdog_trips.load(std::memory_order_acquire));
     set_counter(p + ".snapshots",
                 shard.stats.snapshots.load(std::memory_order_acquire));
-#if STREAMQ_DURABILITY_ENABLED
     if (shard.durable != nullptr && shard.durable->wal != nullptr) {
       const durability::WalStats& w = shard.durable->wal->stats();
       set_counter(p + ".deduped",
@@ -1113,7 +1033,6 @@ void IngestPipeline::PublishMetrics(obs::MetricsRegistry& registry,
           .Set(static_cast<int64_t>(
               shard.stats.checkpoint_seq.load(std::memory_order_acquire)));
     }
-#endif
   }
   set_counter(prefix + ".pushed",
               stats_.pushed.load(std::memory_order_acquire));
@@ -1134,7 +1053,6 @@ void IngestPipeline::PublishMetrics(obs::MetricsRegistry& registry,
       .Set(static_cast<int64_t>(PeakMemoryBytes()));
   registry.GetGauge(prefix + ".ring_bytes")
       .Set(static_cast<int64_t>(RingBytes()));
-#if STREAMQ_DURABILITY_ENABLED
   if (durable_ != nullptr) {
     set_counter(prefix + ".checkpoints",
                 stats_.checkpoints.load(std::memory_order_acquire));
@@ -1152,7 +1070,6 @@ void IngestPipeline::PublishMetrics(obs::MetricsRegistry& registry,
           durable_->checkpoint_ticks;
     }
   }
-#endif
   {
     // The latency histograms are guarded by the publish mutex; copy them
     // out under it.

@@ -99,8 +99,7 @@ struct IngestOptions {
   uint64_t publish_interval = uint64_t{1} << 16;
   ShardingPolicy sharding = ShardingPolicy::kRoundRobin;
   /// Crash-safety (WAL + checkpoints). Disabled by default; requires a
-  /// build with -DSTREAMQ_DURABILITY=ON and a non-null storage when
-  /// enabled, otherwise Create() returns nullptr.
+  /// non-null storage when enabled, otherwise Create() returns nullptr.
   durability::DurabilityOptions durability;
   /// Live accuracy audit (obs/audit.h, DESIGN.md section 17): per-shard
   /// reservoir shadows fed off the producer hot path, audited on demand by
@@ -159,9 +158,8 @@ class IngestPipeline {
   /// post-recovery checkpoint -- completes before any worker starts.
   /// Returns nullptr -- building nothing -- when the configured algorithm
   /// cannot back a pipeline (not Mergeable(), no Clone(), or shards < 1),
-  /// when durability is requested without a storage or in a
-  /// -DSTREAMQ_DURABILITY=OFF build, or when the durable directories
-  /// cannot be initialised.
+  /// when durability is requested without a storage, or when the durable
+  /// directories cannot be initialised.
   static std::unique_ptr<IngestPipeline> Create(const IngestOptions& options);
 
   ~IngestPipeline();
@@ -375,12 +373,10 @@ class IngestPipeline {
   void Start();
 
   void WorkerLoop(Shard& shard);
-  /// Ring-full slow path of Push: backoff + stall accounting.
-  void PushSlow(Shard& shard, int shard_idx, const SeqUpdate& item);
-  /// Ring-full slow path of PushBatch: pushes the remaining items[0..n) of
-  /// one shard run with the same backoff/watchdog contract as PushSlow,
-  /// counting the whole episode as one stall however many partial
-  /// multi-slot pushes it takes.
+  /// Ring-full slow path of Push (n == 1) and PushBatch: pushes the
+  /// remaining items[0..n) of one shard run with capped backoff and the
+  /// stall watchdog, counting the whole episode as one stall however many
+  /// partial multi-slot pushes it takes.
   void PushBatchSlow(Shard& shard, int shard_idx, const SeqUpdate* items,
                      size_t n);
   /// Clones the shard sketch into its snapshot slot (worker thread only).

@@ -59,7 +59,7 @@ namespace streamq::obs {
 /// from TracePointName()/TracePointCategory().
 enum class TracePoint : uint8_t {
   kPush = 0,           ///< IngestPipeline::Push (arg: update value)
-  kPushBackoff,        ///< ring-full backoff inside PushSlow (arg: shard)
+  kPushBackoff,        ///< ring-full backoff inside PushBatchSlow (arg: shard)
   kRingFull,           ///< instant: TryPush refused, ring full (arg: shard)
   kStallWatchdog,      ///< instant: push stalled >100ms (arg: shard)
   kWorkerBatch,        ///< one worker drain+apply batch (arg: batch size)

@@ -20,11 +20,6 @@
 // merge in node-id order into a fresh scratch. Channel faults and crash
 // history can delay convergence, never change the converged answer.
 
-#if !defined(STREAMQ_DURABILITY_ENABLED)
-#error "STREAMQ_DURABILITY_ENABLED must be defined by the build"
-#endif
-#if STREAMQ_DURABILITY_ENABLED
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -300,5 +295,3 @@ TEST(ClusterFaultMatrixTest, PerfectChannelsSanity) {
 
 }  // namespace
 }  // namespace streamq::cluster
-
-#endif  // STREAMQ_DURABILITY_ENABLED

@@ -12,14 +12,11 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "durability/storage.h"
 #include "exact/exact_oracle.h"
 #include "obs/metrics.h"
 #include "quantile/factory.h"
 #include "stream/generators.h"
-
-#if STREAMQ_DURABILITY_ENABLED
-#include "durability/storage.h"
-#endif
 
 namespace streamq::cluster {
 namespace {
@@ -206,8 +203,6 @@ TEST(ClusterTest, MetricsExposePerNodeState) {
   EXPECT_GT(registry.GetCounter("cluster.coordinator.accepted").value(), 0u);
 }
 
-#if STREAMQ_DURABILITY_ENABLED
-
 ClusterOptions DurableOptions(int nodes,
                               std::vector<durability::Storage*> storage) {
   ClusterOptions options = BaseOptions(nodes, Algorithm::kRandom);
@@ -289,8 +284,6 @@ TEST(ClusterTest, CorruptNodeMetaDegradesToAckFastForward) {
     EXPECT_LE(oracle.QuantileError(cluster->Query(phi).value, phi), kSlack);
   }
 }
-
-#endif  // STREAMQ_DURABILITY_ENABLED
 
 }  // namespace
 }  // namespace streamq::cluster

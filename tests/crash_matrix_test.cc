@@ -18,11 +18,6 @@
 // just BEFORE the armed operation, and arming at index k+1 reaches
 // "just after operation k", so both sides of every operation are covered.
 
-#if !defined(STREAMQ_DURABILITY_ENABLED)
-#error "STREAMQ_DURABILITY_ENABLED must be defined by the build"
-#endif
-#if STREAMQ_DURABILITY_ENABLED
-
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -310,5 +305,3 @@ TEST(CrashMatrixTest, RepeatedCrashesAcrossGenerations) {
 
 }  // namespace
 }  // namespace streamq::durability
-
-#endif  // STREAMQ_DURABILITY_ENABLED

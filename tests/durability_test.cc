@@ -5,11 +5,6 @@
 // and clean end-to-end pipeline recovery. Crash-point sweeps live in
 // crash_matrix_test.cc.
 
-#if !defined(STREAMQ_DURABILITY_ENABLED)
-#error "STREAMQ_DURABILITY_ENABLED must be defined by the build"
-#endif
-#if STREAMQ_DURABILITY_ENABLED
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -953,5 +948,3 @@ TEST(DurablePipelineTest, DurableMetricsArePublished) {
 
 }  // namespace
 }  // namespace streamq::durability
-
-#endif  // STREAMQ_DURABILITY_ENABLED

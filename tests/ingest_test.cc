@@ -277,15 +277,20 @@ TEST(IngestPipelineTest, QueriesNeverBlockIngestion) {
 
   const std::vector<uint64_t> data = PipelineData(60'000, 13);
   std::atomic<bool> done{false};
+  std::atomic<bool> answered{false};
   std::thread querier([&] {
     while (!done.load(std::memory_order_acquire)) {
       const uint64_t q = pipeline->Query(0.5);
       EXPECT_LT(q, uint64_t{1} << 20);
       std::vector<uint64_t> many = pipeline->QueryMany({0.25, 0.5, 0.75});
       EXPECT_EQ(many.size(), 3u);
+      answered.store(true, std::memory_order_release);
       std::this_thread::yield();
     }
   });
+  // Push only once the querier is running: otherwise a scheduler that
+  // runs the whole stream first leaves nothing to overlap.
+  while (!answered.load(std::memory_order_acquire)) std::this_thread::yield();
   for (uint64_t v : data) pipeline->Push(Update{v, +1});
   pipeline->Flush();
   done.store(true, std::memory_order_release);
@@ -295,16 +300,22 @@ TEST(IngestPipelineTest, QueriesNeverBlockIngestion) {
 }
 
 TEST(IngestPipelineTest, StopIsIdempotentAndFinal) {
+  // Stop must drain every pushed value, including ones pushed while a
+  // worker that had found its ring empty was busy publishing. That window
+  // is narrow, so one create/push/stop round rarely hits it; twenty do.
   IngestOptions options;
   options.sketch = PipelineConfig(Algorithm::kRandom, 0.05);
   options.shards = 2;
-  auto pipeline = IngestPipeline::Create(options);
-  ASSERT_NE(pipeline, nullptr);
-  for (uint64_t v = 0; v < 5000; ++v) pipeline->Push(Update{v % 1024, +1});
-  pipeline->Stop();
-  pipeline->Stop();  // second stop is a no-op
-  EXPECT_EQ(pipeline->ProcessedCount(), 5000u);
-  EXPECT_EQ(pipeline->ViewEpoch(), 5000u);
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE(round);
+    auto pipeline = IngestPipeline::Create(options);
+    ASSERT_NE(pipeline, nullptr);
+    for (uint64_t v = 0; v < 5000; ++v) pipeline->Push(Update{v % 1024, +1});
+    pipeline->Stop();
+    pipeline->Stop();  // second stop is a no-op
+    EXPECT_EQ(pipeline->ProcessedCount(), 5000u);
+    EXPECT_EQ(pipeline->ViewEpoch(), 5000u);
+  }
 }
 
 TEST(IngestPipelineTest, MemoryAccountingAndMetrics) {

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "durability/faulty_storage.h"
 #include "durability/storage.h"
 #include "net/client.h"
 #include "net/faulty_conn.h"
@@ -37,10 +38,6 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "util/random.h"
-
-#if STREAMQ_DURABILITY_ENABLED
-#include "durability/faulty_storage.h"
-#endif
 
 namespace streamq::net {
 namespace {
@@ -1030,8 +1027,6 @@ TEST_F(ChaosResilientTest, NonDurableServerRestartRebasesAndAccountsLoss) {
 // kill/restart x slow-reader eviction x graceful drain, over real TCP.
 // ---------------------------------------------------------------------------
 
-#if STREAMQ_DURABILITY_ENABLED
-
 /// One server incarnation on fault-injectable storage over a shared
 /// MemStorage "disk", with drain support.
 class ChaosIncarnation {
@@ -1323,8 +1318,6 @@ TEST(ChaosMatrix, GracefulDrainAndSlowReaderEvictionKeepExactCounts) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.stats.count, 10000u);
 }
-
-#endif  // STREAMQ_DURABILITY_ENABLED
 
 }  // namespace
 }  // namespace streamq::net

@@ -264,7 +264,6 @@ TEST(NetSocket, SixteenConcurrentClientsWithCorruptFramesInterleaved) {
 // Kill + recovery: zero acked-FLUSH loss (acceptance criteria)
 // ---------------------------------------------------------------------------
 
-#if STREAMQ_DURABILITY_ENABLED
 TEST(NetSocket, ServerKillLosesNothingAckedByFlush) {
   durability::MemStorage disk;  // the state that survives "power loss"
   uint64_t acked_mark = 0;
@@ -355,7 +354,6 @@ TEST(NetSocket, ServerKillLosesNothingAckedByFlush) {
     ASSERT_TRUE(client->Flush("wal").ok());
   }
 }
-#endif  // STREAMQ_DURABILITY_ENABLED
 
 }  // namespace
 }  // namespace streamq::net

@@ -642,7 +642,6 @@ TEST_F(NetLoopbackTest, WriteQueueBackpressureKeepsOrder) {
 // Durability ack
 // ---------------------------------------------------------------------------
 
-#if STREAMQ_DURABILITY_ENABLED
 TEST_F(NetLoopbackTest, FlushAcksDurableSeq) {
   durability::MemStorage storage;
   ServerOptions options;
@@ -676,7 +675,6 @@ TEST_F(NetLoopbackTest, FlushAcksDurableSeq) {
   client.reset();
   StopServer();
 }
-#endif  // STREAMQ_DURABILITY_ENABLED
 
 // ---------------------------------------------------------------------------
 // HTTP scrape endpoint

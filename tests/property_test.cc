@@ -124,7 +124,9 @@ TEST(GkTupleStoreTest, SlotReuseKeepsOrdering) {
     bool first = true;
     int64_t total = 0;
     for (auto it = store.Begin(); it != store.End(); ++it) {
-      if (!first) EXPECT_LE(prev, it->v);
+      if (!first) {
+        EXPECT_LE(prev, it->v);
+      }
       prev = it->v;
       first = false;
       total += store.NodeOf(it->id).g;

@@ -24,17 +24,14 @@
 #include <thread>
 #include <vector>
 
+#include "durability/faulty_storage.h"
+#include "durability/storage.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "quantile/factory.h"
 #include "stream/update.h"
-
-#if STREAMQ_DURABILITY_ENABLED
-#include "durability/faulty_storage.h"
-#include "durability/storage.h"
-#endif
 
 namespace streamq {
 namespace {
@@ -551,8 +548,6 @@ TEST(TracePipelineTest, FullPathShowsUpInTheExport) {
   }
 }
 
-#if STREAMQ_DURABILITY_ENABLED
-
 // The acceptance-criteria path: an armed crash point kills storage, the
 // WAL writer goes dead, and the dying writer's MarkDead auto-dumps a
 // flight record that contains the shard's WAL append/sync spans.
@@ -596,8 +591,6 @@ TEST(TracePipelineTest, ArmedCrashProducesDumpWithWalSpans) {
   EXPECT_NE(dump.find("\"wal_sync\""), std::string::npos);
   std::remove(path.c_str());
 }
-
-#endif  // STREAMQ_DURABILITY_ENABLED
 
 TEST(TracePipelineTest, ConcurrentExportWhileRecording) {
   // Exporting while the pipeline's producer + workers are recording: the
