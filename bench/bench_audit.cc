@@ -38,8 +38,7 @@
 // Usage: bench_audit [--json] [OUT.json]
 //   --json         write the section JSON (to OUT.json, default stdout);
 //                  splice into BENCH_baseline.json with
-//                  scripts/merge_audit_bench.py. A -DSTREAMQ_AUDIT=OFF
-//                  build emits `null` (nothing to measure).
+//                  scripts/merge_audit_bench.py.
 //   (default)      human-readable table on stdout
 //
 // Scale knobs: STREAMQ_SCALE (base n = 2,000,000), STREAMQ_REPS.
@@ -151,8 +150,6 @@ int Main(int argc, char** argv) {
     for (uint64_t v : values) data.push_back(Update{v, +1});
   }
 
-  std::string json;
-#if STREAMQ_AUDIT_ENABLED
   const LaneTimes lanes = RunLanes(data, reps);
   const double unaudited_ns = lanes.unaudited_ns;
   const double audited_ns = lanes.audited_ns;
@@ -216,15 +213,7 @@ int Main(int argc, char** argv) {
       "}\n",
       n, kReservoir, eps_budget, unaudited_ns, audited_ns, rounds,
       violations, max_err, round_us);
-  json = buf;
-#else
-  if (!as_json) {
-    std::printf("bench_audit: built with -DSTREAMQ_AUDIT=OFF; "
-                "nothing to measure\n");
-    return 0;
-  }
-  json = "null\n";
-#endif
+  const std::string json = buf;
 
   if (out_path == nullptr) {
     std::fputs(json.c_str(), stdout);

@@ -163,16 +163,11 @@ int main(int argc, char** argv) {
   std::printf("metrics: curl http://%s:%u/metrics\n",
               reactor_options.bind_addr.c_str(), reactor->port());
   if (server_options.audit) {
-#if STREAMQ_AUDIT_ENABLED
     std::printf("audit: on (interval %llu ms), health: curl http://%s:%u"
                 "/healthz\n",
                 static_cast<unsigned long long>(
                     server_options.audit_interval_ms),
                 reactor_options.bind_addr.c_str(), reactor->port());
-#else
-    std::printf("audit: requested but compiled out (-DSTREAMQ_AUDIT=OFF); "
-                "AUDIT answers UNSUPPORTED\n");
-#endif
   }
   std::fflush(stdout);
 

@@ -65,14 +65,13 @@ Schema checks (always):
     the clean lane's inserts/sec -- again a same-host ratio, so stable
     where absolute throughput is not
   * schema_version 9 additionally requires an audit section (null straight
-    out of bench_baseline, and from a -DSTREAMQ_AUDIT=OFF build; the
-    committed baseline carries the bench_audit output, spliced with
-    scripts/merge_audit_bench.py): the same ingest lane with and without
-    per-shard reservoir shadows, plus a scored audit round. Two HARD
-    GATES live here: the audited lane must stay within 5% of the
-    unaudited lane's ns/update (a safety net that taxes the hot path
-    gets turned off), and the audit rounds must report zero violations
-    (a correctly-provisioned pipeline audits clean)
+    out of bench_baseline; the committed baseline carries the bench_audit
+    output, spliced with scripts/merge_audit_bench.py): the same ingest
+    lane with and without per-shard reservoir shadows, plus a scored audit
+    round. Two HARD GATES live here: the audited lane must stay within 5%
+    of the unaudited lane's ns/update (a safety net that taxes the hot
+    path gets turned off), and the audit rounds must report zero
+    violations (a correctly-provisioned pipeline audits clean)
 
 Regression check (with --baseline): every cell's ns_per_update must stay
 within (1 + threshold) of the baseline's. Comparing a file against itself
@@ -878,12 +877,11 @@ def check_audit(section, path):
     """Schema + overhead and violation gates for the audit section.
 
     `null` is legal -- bench_baseline always emits it (the lanes live in
-    bench_audit) and a -DSTREAMQ_AUDIT=OFF build has nothing to measure.
-    The committed baseline must carry the real section, spliced in with
-    scripts/merge_audit_bench.py. max_observed_err is sanity-checked only:
-    the auditor's own per-probe budget (eps*slack plus the reservoir's CI
-    guard) is the correctness bar, and `violations` counts probes that
-    broke it.
+    bench_audit). The committed baseline must carry the real section,
+    spliced in with scripts/merge_audit_bench.py. max_observed_err is
+    sanity-checked only: the auditor's own per-probe budget (eps*slack
+    plus the reservoir's CI guard) is the correctness bar, and
+    `violations` counts probes that broke it.
     """
     where = f"{path}: audit"
     errors = 0

@@ -17,9 +17,6 @@ The section file is bench_audit's --json output:
      "rounds": ..., "violations": ..., "max_observed_err": ...,
      "round_us": ...}
 
-A -DSTREAMQ_AUDIT=OFF build emits `null`, which this script refuses: the
-committed baseline must be produced by the default ON build.
-
 The merged document must pass check_bench_json.py's schema-v9 audit check
 (5% overhead gate, zero violations) before the baseline file is
 rewritten; a failing merge leaves it untouched.
@@ -54,11 +51,6 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         return fail(f"{section_path}: {e}")
 
-    if section is None:
-        return fail(
-            f"{section_path}: section is null (bench_audit from a "
-            f"-DSTREAMQ_AUDIT=OFF build); rerun in the default ON build"
-        )
     if not isinstance(section, dict) or "lanes" not in section:
         return fail(f"{section_path}: not a bench_audit section file")
     if doc.get("schema_version", 0) < 9:

@@ -13,11 +13,9 @@ ClusterCoordinatorOptions CoordinatorOptionsOf(const ClusterOptions& options) {
   c.sketch = options.node_pipeline.sketch;
   c.stale_after = options.stale_after;
   c.probe = options.probe;
-#if STREAMQ_AUDIT_ENABLED
   // The audit plane rides the node pipeline template: auditing nodes and
   // auditing the global merge are one switch.
   c.audit = options.node_pipeline.audit;
-#endif
   return c;
 }
 
@@ -191,7 +189,6 @@ uint64_t QuantileCluster::ReplayNode(int node) {
   return replayed;
 }
 
-#if STREAMQ_AUDIT_ENABLED
 obs::AuditReport QuantileCluster::AuditGlobal(QueryScope scope) {
   std::vector<std::unique_ptr<obs::ReservoirShadow>> owned;
   std::vector<const obs::ReservoirShadow*> shadows;
@@ -205,7 +202,6 @@ obs::AuditReport QuantileCluster::AuditGlobal(QueryScope scope) {
   }
   return coordinator_.AuditGlobal(shadows, now_, scope);
 }
-#endif
 
 uint64_t QuantileCluster::StalenessBound() const {
   // Insert-only accounting (the known count is the sketch count, which
@@ -257,12 +253,10 @@ void QuantileCluster::PublishMetrics(obs::MetricsRegistry& registry,
     registry.GetGauge(node_prefix + ".staleness_ticks")
         .Set(static_cast<int64_t>(status.staleness_ticks));
   }
-#if STREAMQ_AUDIT_ENABLED
   if (coordinator_.AuditEnabled()) {
     obs::PublishAuditMetrics(*coordinator_.auditor(), registry,
                              prefix + ".audit");
   }
-#endif
 }
 
 }  // namespace streamq::cluster

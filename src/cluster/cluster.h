@@ -123,15 +123,13 @@ class QuantileCluster {
   /// reflected in any accepted shipment, summed over all nodes.
   uint64_t StalenessBound() const;
 
-#if STREAMQ_AUDIT_ENABLED
   /// Audits the coordinator's global merged answer against the merged
   /// per-node shadows collected from every live node's pipeline. Dead
   /// nodes contribute no shadow; the elements their last accepted
   /// shipment still covers land in the auditor's coverage-gap guard, as
-  /// does any unshipped staleness. Default (invalid) report when the
-  /// node pipelines were not built with audit enabled.
+  /// does any unshipped staleness. Default (invalid) report when
+  /// node_pipeline.audit is not enabled.
   obs::AuditReport AuditGlobal(QueryScope scope = QueryScope::kAll);
-#endif
 
   uint64_t now() const { return now_; }
   uint64_t appended(int node) const { return streams_[size_t(node)].size(); }

@@ -14,17 +14,12 @@ ClusterCoordinator::ClusterCoordinator(
     : options_(options),
       reference_(MakeSketch(options.sketch)),
       views_(static_cast<size_t>(std::max(options.nodes, 1))) {
-#if STREAMQ_AUDIT_ENABLED
   if (options_.audit.enabled) {
-    audit_config_ = options_.audit;
-    if (audit_config_.eps <= 0.0) audit_config_.eps = options_.sketch.eps;
-    if (audit_config_.slack <= 0.0) {
-      audit_config_.slack = obs::AuditSlackForAlgorithm(
-          AlgorithmName(options_.sketch.algorithm));
-    }
+    audit_config_ = obs::ResolveAuditConfig(
+        options_.audit, options_.sketch.eps,
+        AlgorithmName(options_.sketch.algorithm));
     auditor_ = std::make_unique<obs::AccuracyAuditor>(audit_config_);
   }
-#endif
 }
 
 void ClusterCoordinator::HandleShipment(const std::string& bytes,
@@ -161,7 +156,6 @@ ClusterAnswer ClusterCoordinator::Rank(uint64_t value, uint64_t now,
   return answer;
 }
 
-#if STREAMQ_AUDIT_ENABLED
 obs::AuditReport ClusterCoordinator::AuditGlobal(
     const std::vector<const obs::ReservoirShadow*>& node_shadows,
     uint64_t now, QueryScope scope) {
@@ -184,7 +178,6 @@ obs::AuditReport ClusterCoordinator::AuditGlobal(
       [&merged](double phi) { return merged->Query(phi); },
       answer.reported_count, *shadow);
 }
-#endif
 
 ClusterNodeStatus ClusterCoordinator::Status(int node, uint64_t now) const {
   const NodeView& view = views_[static_cast<size_t>(node)];

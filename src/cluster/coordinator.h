@@ -51,8 +51,8 @@ struct ClusterCoordinatorOptions {
   /// Backoff of the re-ship probes sent to suspect nodes.
   RetryPolicy probe;
   /// Global-answer accuracy audit (obs/audit.h): eps == 0 resolves to
-  /// sketch.eps, slack == 0 to the per-algorithm convention. Ignored under
-  /// -DSTREAMQ_AUDIT=OFF.
+  /// sketch.eps, slack == 0 to the per-algorithm convention
+  /// (obs::ResolveAuditConfig).
   obs::AuditConfig audit;
 };
 
@@ -128,7 +128,6 @@ class ClusterCoordinator {
   /// Accounting bytes of the retained per-node sketches.
   size_t MemoryBytes() const;
 
-#if STREAMQ_AUDIT_ENABLED
   /// True when options.audit.enabled built an auditor.
   bool AuditEnabled() const { return auditor_ != nullptr; }
 
@@ -147,7 +146,6 @@ class ClusterCoordinator {
       uint64_t now, QueryScope scope = QueryScope::kAll);
 
   const obs::AccuracyAuditor* auditor() const { return auditor_.get(); }
-#endif
 
   int nodes() const { return static_cast<int>(views_.size()); }
   const ClusterCoordinatorStats& stats() const { return stats_; }
@@ -175,10 +173,8 @@ class ClusterCoordinator {
   std::unique_ptr<QuantileSketch> reference_;
   std::vector<NodeView> views_;
   ClusterCoordinatorStats stats_;
-#if STREAMQ_AUDIT_ENABLED
   obs::AuditConfig audit_config_;  // resolved (eps/slack filled in)
   std::unique_ptr<obs::AccuracyAuditor> auditor_;  // null = audit off
-#endif
 };
 
 }  // namespace streamq::cluster

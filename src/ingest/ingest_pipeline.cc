@@ -81,7 +81,6 @@ uint64_t ApplyEntries(QuantileSketch& sketch, obs::ReservoirShadow* shadow,
   return rejected;
 }
 
-#if STREAMQ_AUDIT_ENABLED
 /// Feeds one replayed WAL entry into a shard's audit shadow, mirroring
 /// what the entry folded into the sketch: delta == +1 observes the value,
 /// delta > 1 observes that many copies, and any deletion taints the shadow
@@ -105,7 +104,6 @@ void FeedShadowEntry(obs::ReservoirShadow& shadow, uint64_t value,
 uint64_t ShadowSeed(uint64_t base, size_t shard) {
   return base + 0x9e3779b97f4a7c15ull * (shard + 1);
 }
-#endif
 
 }  // namespace
 
@@ -177,21 +175,16 @@ IngestPipeline::IngestPipeline(const IngestOptions& options)
   if (options_.durability.enabled) {
     durable_ = std::make_unique<PipelineDurable>();
   }
-#if STREAMQ_AUDIT_ENABLED
   if (options_.audit.enabled) {
-    audit_config_ = options_.audit;
-    if (audit_config_.eps <= 0.0) audit_config_.eps = options_.sketch.eps;
-    if (audit_config_.slack <= 0.0) {
-      audit_config_.slack = obs::AuditSlackForAlgorithm(
-          AlgorithmName(options_.sketch.algorithm));
-    }
+    audit_config_ = obs::ResolveAuditConfig(
+        options_.audit, options_.sketch.eps,
+        AlgorithmName(options_.sketch.algorithm));
     auditor_ = std::make_unique<obs::AccuracyAuditor>(audit_config_);
     for (size_t i = 0; i < shards_.size(); ++i) {
       shards_[i]->shadow = std::make_unique<obs::ReservoirShadow>(
           audit_config_.reservoir, ShadowSeed(options_.sketch.seed, i));
     }
   }
-#endif
 }
 
 bool IngestPipeline::InitDurability() {
@@ -274,14 +267,12 @@ bool IngestPipeline::InitDurability() {
       for (const durability::WalEntry& e : scan.entries) {
         if (e.seq <= hw) continue;
         ApplyUpdate(*shard.sketch, e.value, e.delta);
-#if STREAMQ_AUDIT_ENABLED
         // Replayed updates feed the shadow too, so only the
         // checkpoint-covered prefix (whose raw values are gone) is left to
         // the auditor's coverage-gap guard.
         if (shard.shadow != nullptr) {
           FeedShadowEntry(*shard.shadow, e.value, e.delta);
         }
-#endif
         hw = e.seq;
         ++recovery_.replayed_updates;
       }
@@ -587,11 +578,7 @@ void IngestPipeline::WorkerLoop(Shard& shard) {
   const bool durable = shard.durable != nullptr;
   std::vector<durability::WalEntry> wal_batch;
   if (durable) wal_batch.reserve(options_.batch_size);
-#if STREAMQ_AUDIT_ENABLED
   obs::ReservoirShadow* const shadow = shard.shadow.get();
-#else
-  obs::ReservoirShadow* const shadow = nullptr;
-#endif
   uint64_t since_publish = 0;
   for (;;) {
     // The producer stops pushing before setting stop_, so an empty ring
@@ -691,9 +678,7 @@ void IngestPipeline::PublishShardSnapshot(Shard& shard) {
   if (shard.durable != nullptr) {
     snapshot->applied_seq = shard.durable->applied_seq;
   }
-#if STREAMQ_AUDIT_ENABLED
   if (shard.shadow != nullptr) snapshot->shadow = shard.shadow->Clone();
-#endif
   shard.snapshot.Store(std::move(snapshot));
   // Epoch strictly after the snapshot: a reader that sees the new epoch is
   // guaranteed a snapshot at least that fresh (it may see an even newer
@@ -1082,15 +1067,11 @@ void IngestPipeline::PublishMetrics(obs::MetricsRegistry& registry,
     registry.GetHistogram(prefix + ".ring_full_stall_ns") =
         ring_full_stall_ns_;
   }
-#if STREAMQ_AUDIT_ENABLED
   if (auditor_ != nullptr) {
     std::lock_guard<std::mutex> lock(audit_mutex_);
     obs::PublishAuditMetrics(*auditor_, registry, prefix + ".audit");
   }
-#endif
 }
-
-#if STREAMQ_AUDIT_ENABLED
 
 obs::AuditReport IngestPipeline::AuditNow() {
   if (auditor_ == nullptr) return obs::AuditReport{};
@@ -1162,7 +1143,5 @@ std::unique_ptr<obs::ReservoirShadow> IngestPipeline::CloneAuditShadow()
       shadows, audit_config_.reservoir,
       ShadowSeed(options_.sketch.seed, shards_.size() + 2));
 }
-
-#endif  // STREAMQ_AUDIT_ENABLED
 
 }  // namespace streamq::ingest

@@ -104,8 +104,7 @@ struct IngestOptions {
   /// Live accuracy audit (obs/audit.h, DESIGN.md section 17): per-shard
   /// reservoir shadows fed off the producer hot path, audited on demand by
   /// AuditNow(). eps == 0 resolves to sketch.eps, slack == 0 to the
-  /// per-algorithm ERROR_SLACK convention. Ignored (members compiled out)
-  /// under -DSTREAMQ_AUDIT=OFF.
+  /// per-algorithm ERROR_SLACK convention (obs::ResolveAuditConfig).
   obs::AuditConfig audit;
 };
 
@@ -125,12 +124,10 @@ struct ShardSnapshot {
   uint64_t applied_seq = 0;
   /// This-incarnation processed count at snapshot time (epoch bookkeeping).
   uint64_t processed = 0;
-#if STREAMQ_AUDIT_ENABLED
   /// Audit shadow cloned at the same instant as `sketch` (null when
   /// auditing is off): the pair covers the same applied multiset, which is
   /// what lets AuditNow compare them without skew.
   std::shared_ptr<const obs::ReservoirShadow> shadow;
-#endif
 };
 
 /// What Create() found on storage (all zeros/false for a fresh start or a
@@ -270,7 +267,6 @@ class IngestPipeline {
 
   // --- accuracy audit ---------------------------------------------------
 
-#if STREAMQ_AUDIT_ENABLED
   /// True when options.audit.enabled built an auditor.
   bool AuditEnabled() const { return auditor_ != nullptr; }
 
@@ -306,7 +302,6 @@ class IngestPipeline {
     double eps_budget = 0.0;        ///< resolved eps * slack being enforced
   };
   AuditCounters GetAuditCounters() const;
-#endif
 
   // --- introspection ----------------------------------------------------
 
@@ -354,11 +349,9 @@ class IngestPipeline {
     std::unique_ptr<QuantileSketch> sketch;  // worker-private after Start
     SharedSlot<ShardSnapshot> snapshot;      // worker writes, readers read
     std::unique_ptr<ShardDurable> durable;   // null when durability is off
-#if STREAMQ_AUDIT_ENABLED
     /// Audit shadow of this shard's applied stream (worker-private after
     /// Start, like `sketch`; null when auditing is off).
     std::unique_ptr<obs::ReservoirShadow> shadow;
-#endif
     ShardStats stats;
     std::thread worker;
     ~Shard();
@@ -427,13 +420,11 @@ class IngestPipeline {
   std::mutex query_mutex_;
   PipelineStats stats_;
 
-#if STREAMQ_AUDIT_ENABLED
   /// Resolved audit config (eps/slack filled from the sketch config).
   obs::AuditConfig audit_config_;
   /// Guards auditor_ (its round state and histogram are not thread-safe).
   mutable std::mutex audit_mutex_;
   std::unique_ptr<obs::AccuracyAuditor> auditor_;  // null = audit off
-#endif
 };
 
 }  // namespace streamq::ingest

@@ -86,8 +86,7 @@ class StreamqClient {
   /// producer replays everything after that mark; see ResilientClient.
   NetResponse Resume(const std::string& stream);
   /// Runs one accuracy-audit round on the stream; response.audit carries
-  /// the scored phi-grid (kUnsupported when the stream is not audited or
-  /// the server was built without the audit plane).
+  /// the scored phi-grid (kUnsupported when the stream is not audited).
   NetResponse Audit(const std::string& stream);
 
   // --- pipelining -------------------------------------------------------

@@ -109,8 +109,8 @@ struct StreamStatsPayload {
   bool durable = false;
   bool recovered = false;  ///< this incarnation recovered prior state
   std::string algorithm;
-  /// Accuracy-audit summary (zeros when the stream is not audited -- the
-  /// server was built -DSTREAMQ_AUDIT=OFF or started with auditing off).
+  /// Accuracy-audit summary (zeros when the stream is not audited: the
+  /// server was started with auditing off).
   bool audited = false;
   uint64_t audit_rounds = 0;
   uint64_t audit_violations = 0;  ///< lifetime probe violations

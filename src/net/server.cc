@@ -43,7 +43,6 @@ StreamqServer::StreamqServer(ServerOptions options)
   }
   if (options_.default_shards < 1) options_.default_shards = 1;
   if (options_.audit_reservoir < 1) options_.audit_reservoir = 1;
-#if STREAMQ_AUDIT_ENABLED
   // Register the global audit families up front so a scrape always carries
   // streamq_audit_* -- dashboards and the scrape checker can rely on their
   // presence before (or without) any audit round having run.
@@ -52,7 +51,6 @@ StreamqServer::StreamqServer(ServerOptions options)
   registry_.GetCounter("audit.violations");
   registry_.GetHistogram("audit.observed_err");
   registry_.GetGauge("audit.shadow_bytes");
-#endif
 }
 
 StreamqServer::~StreamqServer() = default;
@@ -346,7 +344,6 @@ size_t StreamqServer::SweepDeadlines() {
 }
 
 void StreamqServer::RunDueAudits(uint64_t now) {
-#if STREAMQ_AUDIT_ENABLED
   if (!options_.audit || options_.audit_interval_ms == 0) return;
   const uint64_t interval_ns = options_.audit_interval_ms * 1'000'000ull;
   std::vector<ingest::IngestPipeline*> due;
@@ -368,9 +365,6 @@ void StreamqServer::RunDueAudits(uint64_t now) {
   for (ingest::IngestPipeline* pipeline : due) {
     RecordAuditRound(pipeline->AuditNow());
   }
-#else
-  (void)now;
-#endif
 }
 
 void StreamqServer::RecordAuditRound(const obs::AuditReport& report) {
@@ -384,7 +378,6 @@ void StreamqServer::RecordAuditRound(const obs::AuditReport& report) {
 }
 
 bool StreamqServer::Healthy() const {
-#if STREAMQ_AUDIT_ENABLED
   if (options_.audit_unhealthy_rounds == 0) return true;
   std::lock_guard<std::mutex> lock(metrics_mutex_);
   for (const auto& [name, entry] : streams_) {
@@ -394,7 +387,6 @@ bool StreamqServer::Healthy() const {
       return false;
     }
   }
-#endif
   return true;
 }
 
@@ -573,7 +565,6 @@ void StreamqServer::Execute(Session& session, const NetRequest& request) {
       break;
     }
     case NetOp::kAudit: {
-#if STREAMQ_AUDIT_ENABLED
       if (!pipeline->AuditEnabled()) {
         EnqueueError(session, request, NetStatus::kUnsupported,
                      "stream is not audited (server started without --audit)");
@@ -583,10 +574,6 @@ void StreamqServer::Execute(Session& session, const NetRequest& request) {
       RecordAuditRound(resp.audit);
       resp.value = resp.audit.violations;
       Enqueue(session, resp);
-#else
-      EnqueueError(session, request, NetStatus::kUnsupported,
-                   "server built without the audit plane (STREAMQ_AUDIT=OFF)");
-#endif
       break;
     }
     default:
@@ -719,7 +706,6 @@ NetResponse StreamqServer::DoCreate(const NetRequest& request) {
   opts.durability.storage = options_.storage;
   opts.durability.dir = options_.data_dir + "/" + request.stream;
   opts.durability.sync_interval = options_.wal_sync_interval;
-#if STREAMQ_AUDIT_ENABLED
   if (options_.audit) {
     opts.audit.enabled = true;
     opts.audit.reservoir = options_.audit_reservoir;
@@ -730,7 +716,6 @@ NetResponse StreamqServer::DoCreate(const NetRequest& request) {
       opts.audit.slack = 1.0;
     }
   }
-#endif
 
   StreamEntry entry;
   entry.pipeline = ingest::IngestPipeline::Create(opts);
@@ -818,7 +803,6 @@ void StreamqServer::FillStats(ingest::IngestPipeline& pipeline,
   out->durable = entry.params.durable;
   out->recovered = pipeline.recovery().recovered;
   out->algorithm = entry.params.algorithm;
-#if STREAMQ_AUDIT_ENABLED
   if (pipeline.AuditEnabled()) {
     const ingest::IngestPipeline::AuditCounters audit =
         pipeline.GetAuditCounters();
@@ -828,7 +812,6 @@ void StreamqServer::FillStats(ingest::IngestPipeline& pipeline,
     out->audit_max_err = audit.max_observed_err;
     out->audit_eps_budget = audit.eps_budget;
   }
-#endif
 }
 
 void StreamqServer::Enqueue(Session& session, const NetResponse& response) {
@@ -921,7 +904,6 @@ std::string StreamqServer::MetricsText() {
   for (auto& [name, entry] : streams_) {
     entry.pipeline->PublishMetrics(registry_, "net.stream." + name);
   }
-#if STREAMQ_AUDIT_ENABLED
   uint64_t shadow_bytes = 0;
   for (auto& [name, entry] : streams_) {
     if (!entry.pipeline->AuditEnabled()) continue;
@@ -929,7 +911,6 @@ std::string StreamqServer::MetricsText() {
   }
   registry_.GetGauge("audit.shadow_bytes")
       .Set(static_cast<int64_t>(shadow_bytes));
-#endif
   return obs::ExportPrometheusText(registry_);
 }
 

@@ -100,8 +100,8 @@ struct ServerOptions {
 
   /// Audit every stream CREATEd on this server: each stream's pipeline
   /// keeps reservoir shadows and answers AUDIT requests; the deadline
-  /// sweep runs periodic rounds (audit_interval_ms). No effect when the
-  /// server was built -DSTREAMQ_AUDIT=OFF (AUDIT answers kUnsupported).
+  /// sweep runs periodic rounds (audit_interval_ms). Off: AUDIT answers
+  /// kUnsupported.
   bool audit = false;
   /// Reservoir capacity per shard shadow (and for merged audit draws).
   size_t audit_reservoir = 4096;
@@ -196,8 +196,8 @@ class StreamqServer {
 
   /// The /healthz verdict: false once any audited stream's consecutive
   /// violating-round streak reaches audit_unhealthy_rounds. Always true
-  /// when auditing is off (or compiled out) -- health then only says the
-  /// process is serving. Any thread.
+  /// when auditing is off -- health then only says the process is
+  /// serving. Any thread.
   bool Healthy() const;
 
   const ServerOptions& options() const { return options_; }
@@ -270,8 +270,8 @@ class StreamqServer {
 
   void ServeHttp(Session& session);
   /// Runs an audit round on every audited stream whose interval elapsed
-  /// (SweepDeadlines calls this; no-op when audit_interval_ms is 0 or the
-  /// audit plane is compiled out).
+  /// (SweepDeadlines calls this; no-op when auditing is off or
+  /// audit_interval_ms is 0).
   void RunDueAudits(uint64_t now);
   /// Folds one audit round's outcome into the global audit.* families.
   void RecordAuditRound(const obs::AuditReport& report);

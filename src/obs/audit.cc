@@ -233,6 +233,13 @@ double AuditSlackForAlgorithm(std::string_view algorithm) {
   return 3.0;  // randomized / probabilistic / unknown: the repo's latitude
 }
 
+AuditConfig ResolveAuditConfig(AuditConfig config, double sketch_eps,
+                               std::string_view algorithm) {
+  if (config.eps <= 0.0) config.eps = sketch_eps;
+  if (config.slack <= 0.0) config.slack = AuditSlackForAlgorithm(algorithm);
+  return config;
+}
+
 AccuracyAuditor::AccuracyAuditor(const AuditConfig& config)
     : config_(config) {
   if (config_.reservoir == 0) config_.reservoir = 1;

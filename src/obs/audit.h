@@ -45,9 +45,8 @@
 // the generator state included, so a restored shadow continues the exact
 // sampling sequence -- and any single flipped byte is rejected.
 //
-// `-DSTREAMQ_AUDIT=OFF` compiles the *wiring* out (pipeline hooks, the
-// AUDIT opcode, the server's audit clock); these types stay available,
-// mirroring how the metrics registry survives -DSTREAMQ_METRICS=OFF.
+// Auditing is a run-time choice: the owning layer builds shadows and an
+// auditor only when its AuditConfig::enabled is set.
 //
 // Thread-safety: none. Shadows are single-owner (a shard worker, a merge
 // scratch); auditors are serialised by their owning layer.
@@ -191,11 +190,11 @@ struct AuditConfig {
   /// The phi-grid replayed each round.
   std::vector<double> phis = {0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99};
   /// Error budget: observed error above eps * slack (+ guard) is a
-  /// violation. 0 = the wiring fills it from the sketch config.
+  /// violation. 0 = the sketch config's eps (ResolveAuditConfig).
   double eps = 0.0;
   /// Guarantee latitude multiplier; 0 = resolve per algorithm
-  /// (AuditSlackForAlgorithm). Deterministic summaries get 1, randomized
-  /// ones 3 -- the repo's ERROR_SLACK convention.
+  /// (ResolveAuditConfig, AuditSlackForAlgorithm). Deterministic summaries
+  /// get 1, randomized ones 3 -- the repo's ERROR_SLACK convention.
   double slack = 0.0;
   /// CI guard width in binomial standard deviations.
   double z = 4.0;
@@ -238,6 +237,12 @@ struct AuditReport {
 /// ones (MRL99, Random, DCM, DCS, RSS, Post) at 3x. Unknown names get the
 /// conservative 3x.
 double AuditSlackForAlgorithm(std::string_view algorithm);
+
+/// `config` with its zeros resolved against the audited sketch: eps <= 0
+/// takes `sketch_eps`, slack <= 0 takes AuditSlackForAlgorithm(`algorithm`)
+/// (an AlgorithmName() spelling).
+AuditConfig ResolveAuditConfig(AuditConfig config, double sketch_eps,
+                               std::string_view algorithm);
 
 class AccuracyAuditor {
  public:

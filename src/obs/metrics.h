@@ -17,12 +17,6 @@
 //    so coordinator-side metrics can cross the faulty channel and corrupt
 //    frames are rejected before a byte is interpreted.
 //
-// This header is always compiled; the `-DSTREAMQ_METRICS=OFF` build switch
-// removes the *instrumentation call sites* inside the sketches (see
-// obs/sketch_metrics.h for the macro layer), not these types. The registry
-// and its serde therefore keep working in a metrics-off build -- they just
-// have nothing sketch-side to report.
-//
 // Thread-safety: none of these types synchronise. The library is
 // single-threaded by design (one sketch, one stream); share a registry
 // across threads only under external locking.

@@ -1,4 +1,4 @@
-// Per-sketch instrumentation and the metrics on/off macro layer.
+// Per-sketch instrumentation and its compaction macros.
 //
 // Every QuantileSketch owns one SketchMetrics (see quantile_sketch.h). The
 // base class counts updates and queries; the concrete summaries additionally
@@ -6,16 +6,6 @@
 // merge, OLS finalisation) through the macros below, passing a SketchMetrics*
 // that may be null (e.g. a GkArrayImpl used standalone by the distributed
 // monitor sites).
-//
-// The `STREAMQ_METRICS` CMake option (default ON) controls
-// STREAMQ_METRICS_ENABLED. When OFF:
-//  * SketchMetrics collapses to an empty struct of no-op stubs, so member
-//    accesses still compile and fold to nothing;
-//  * the macros expand to ((void)0), removing the call sites entirely --
-//    no counter increments, no timer reads, no branches remain in the
-//    compiled hot path.
-// The registry layer (obs/metrics.h) stays available either way; it simply
-// has no sketch-side data to publish in an OFF build.
 
 #ifndef STREAMQ_OBS_SKETCH_METRICS_H_
 #define STREAMQ_OBS_SKETCH_METRICS_H_
@@ -25,13 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#ifndef STREAMQ_METRICS_ENABLED
-#define STREAMQ_METRICS_ENABLED 1
-#endif
-
 namespace streamq::obs {
-
-#if STREAMQ_METRICS_ENABLED
 
 /// The metrics every quantile sketch carries. Counters cover the update and
 /// query paths (single add each); histograms and the memory gauge are only
@@ -69,9 +53,6 @@ struct SketchMetrics {
   }
 };
 
-/// Executes `stmt` only in a metrics-enabled build.
-#define STREAMQ_IF_METRICS(stmt) stmt
-
 /// Records one compaction event: increments the compressions counter, logs
 /// the summary size that triggered it, and stamps a trace instant (the
 /// flight recorder sees compaction cadence even between spans). `m` is a
@@ -95,50 +76,6 @@ struct SketchMetrics {
   ::streamq::obs::ScopedTimer sq_compaction_timer_(                  \
       (m) != nullptr ? &(m)->compress_ticks : nullptr);              \
   STREAMQ_TRACE_SPAN(::streamq::obs::TracePoint::kSketchCompaction, 0)
-
-#else  // !STREAMQ_METRICS_ENABLED
-
-/// Metrics-off stand-ins: same API surface, every operation a no-op the
-/// optimiser removes. value() reads report zero.
-struct NoopCounter {
-  void Inc() {}
-  void Add(uint64_t) {}
-  uint64_t value() const { return 0; }
-  void Reset() {}
-};
-struct NoopGauge {
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  int64_t value() const { return 0; }
-  void Reset() {}
-};
-struct NoopHistogram {
-  void Record(uint64_t) {}
-  uint64_t count() const { return 0; }
-  uint64_t sum() const { return 0; }
-  uint64_t min() const { return 0; }
-  uint64_t max() const { return 0; }
-  double Mean() const { return 0.0; }
-  void Reset() {}
-};
-
-struct SketchMetrics {
-  NoopCounter inserts, erases, merges, rejected, queries, compressions;
-  NoopHistogram compress_trigger, compress_ticks;
-  NoopGauge memory_bytes;
-  void PublishTo(MetricsRegistry&, const std::string&) const {}
-};
-
-// The trace layer stays active in a metrics-off build (independent
-// switches): compaction spans/instants still record when tracing is on.
-#define STREAMQ_IF_METRICS(stmt)
-#define STREAMQ_COMPACTION_EVENT(m, trigger_size) \
-  STREAMQ_TRACE_INSTANT(::streamq::obs::TracePoint::kSketchCompaction, \
-                        trigger_size)
-#define STREAMQ_COMPACTION_TIMER(m) \
-  STREAMQ_TRACE_SPAN(::streamq::obs::TracePoint::kSketchCompaction, 0)
-
-#endif  // STREAMQ_METRICS_ENABLED
 
 }  // namespace streamq::obs
 

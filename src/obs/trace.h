@@ -24,8 +24,8 @@
 //    than emitted torn. TSan runs clean over concurrent record + snapshot.
 //  * Compiled out entirely under -DSTREAMQ_TRACE=OFF. The macros at the
 //    bottom expand to ((void)0); no flag check, no clock read, nothing
-//    remains at the instrumentation sites. The types stay compiled (same
-//    contract as obs/metrics.h) so exporters and tests keep building.
+//    remains at the instrumentation sites. The types stay compiled so
+//    exporters and tests keep building.
 //
 // Rings are pooled: a thread's first record acquires a ring from
 // Tracer::Global() and caches it in a thread_local; thread exit returns the

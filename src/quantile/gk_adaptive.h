@@ -149,7 +149,7 @@ class GkAdaptiveImpl {
 
   void Remove(Iterator it) {
     // Each fold of a removable tuple is GKAdaptive's (one-tuple) COMPRESS.
-    STREAMQ_IF_METRICS(if (metrics_ != nullptr) metrics_->compressions.Inc();)
+    if (metrics_ != nullptr) metrics_->compressions.Inc();
     Iterator succ = store_.RemoveIntoSuccessor(it);
     // succ's g changed -> its key changed; the tuple before the removed one
     // now precedes succ -> its key changed too.

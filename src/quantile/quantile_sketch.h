@@ -230,8 +230,7 @@ class QuantileSketch {
   // --- observability (src/obs/) ---------------------------------------
 
   /// This sketch's live metrics (update/query/compaction counters; see
-  /// obs/sketch_metrics.h). In a -DSTREAMQ_METRICS=OFF build the returned
-  /// object is a no-op stub whose reads are all zero.
+  /// obs/sketch_metrics.h).
   const obs::SketchMetrics& metrics() const { return metrics_; }
 
   /// Publishes the metrics into `registry` under "<prefix>.<metric>",

@@ -2,11 +2,6 @@
 // sampling math, its serde discipline, the auditor's budget/guard scoring,
 // and the end-to-end wiring through IngestPipeline and QuantileCluster.
 //
-// ReservoirShadow and AccuracyAuditor are plain types that exist in every
-// build (including -DSTREAMQ_AUDIT=OFF), so most of this file runs
-// unconditionally; only the pipeline/cluster wiring sections are gated,
-// mirroring the gating of the wiring itself.
-//
 // The statistical assertions are deterministic: every stream is generated
 // from a fixed seed and every shadow is seed-deterministic, so an
 // assertion that holds once holds forever. Tolerances still use the
@@ -292,6 +287,18 @@ TEST(AuditSlack, FollowsTheRepoErrorSlackConvention) {
   EXPECT_DOUBLE_EQ(AuditSlackForAlgorithm("MRL99"), 3.0);
   EXPECT_DOUBLE_EQ(AuditSlackForAlgorithm("DCS"), 3.0);
   EXPECT_DOUBLE_EQ(AuditSlackForAlgorithm("never-heard-of-it"), 3.0);
+
+  // ResolveAuditConfig fills only the zeros: eps from the sketch, slack by
+  // algorithm. Values the caller set pass through.
+  AuditConfig config;
+  AuditConfig resolved = ResolveAuditConfig(config, 0.02, "GKArray");
+  EXPECT_DOUBLE_EQ(resolved.eps, 0.02);
+  EXPECT_DOUBLE_EQ(resolved.slack, 1.0);
+  config.eps = 0.004;
+  config.slack = 2.0;
+  resolved = ResolveAuditConfig(config, 0.02, "GKArray");
+  EXPECT_DOUBLE_EQ(resolved.eps, 0.004);
+  EXPECT_DOUBLE_EQ(resolved.slack, 2.0);
 }
 
 class AccuracyAuditorTest : public ::testing::Test {
@@ -443,8 +450,6 @@ TEST(AuditExport, FormatAuditTableShowsProbesAndVerdict) {
   EXPECT_NE(table.find("within budget"), std::string::npos);
 }
 
-#if STREAMQ_AUDIT_ENABLED
-
 // ---------------------------------------------------------------------------
 // IngestPipeline wiring
 // ---------------------------------------------------------------------------
@@ -584,6 +589,8 @@ TEST(ClusterAudit, GlobalMergedAnswerAuditsClean) {
       << "merge-induced error beyond the merged budget";
   EXPECT_EQ(report.shadow_n, values.size());
   EXPECT_LT(report.gap_frac, 0.01);
+  // eps resolved from the sketch, slack 3x for Random.
+  EXPECT_DOUBLE_EQ(report.eps_budget, 0.06);
 }
 
 TEST(ClusterAudit, DeadNodeLandsInTheCoverageGap) {
@@ -612,8 +619,6 @@ TEST(ClusterAudit, UnauditedNodesReportInvalid) {
   ASSERT_TRUE(cluster->Quiesce());
   EXPECT_FALSE(cluster->AuditGlobal().valid);
 }
-
-#endif  // STREAMQ_AUDIT_ENABLED
 
 }  // namespace
 }  // namespace streamq::obs

@@ -69,12 +69,8 @@ TEST(MergeCapabilityTest, NonMergeableRefusesWithUnsupported) {
   const uint64_t rejected_before = a->metrics().rejected.value();
   EXPECT_EQ(a->Merge(*b), StreamqStatus::kUnsupported);
   EXPECT_EQ(a->Count(), 0u);
-#if STREAMQ_METRICS_ENABLED
   EXPECT_EQ(a->metrics().rejected.value(), rejected_before + 1);
   EXPECT_EQ(a->metrics().merges.value(), 0u);
-#else
-  (void)rejected_before;
-#endif
 }
 
 // ---------- merged accuracy ----------
@@ -100,9 +96,7 @@ TEST_P(MergeAccuracyTest, MergedSketchMeetsErrorBound) {
     ASSERT_TRUE(merged->CanMerge(*part));
     ASSERT_EQ(merged->Merge(*part), StreamqStatus::kOk);
   }
-#if STREAMQ_METRICS_ENABLED
   EXPECT_EQ(merged->metrics().merges.value(), 3u);
-#endif
   EXPECT_EQ(merged->Count(), data.size());
 
   const ExactOracle oracle(data);
@@ -188,12 +182,8 @@ TEST(MergeErrorPathTest, IncompatibleParametersRejectedWithoutMutation) {
     const uint64_t rejected_before = a.metrics().rejected.value();
     EXPECT_EQ(a.Merge(b), StreamqStatus::kMergeIncompatible);
     EXPECT_EQ(a.Serialize(), before);
-#if STREAMQ_METRICS_ENABLED
     EXPECT_EQ(a.metrics().rejected.value(), rejected_before + 1);
     EXPECT_EQ(a.metrics().merges.value(), 0u);
-#else
-    (void)rejected_before;
-#endif
   }
   {
     SketchConfig c1 = ConfigFor(Algorithm::kDcs);

@@ -801,9 +801,7 @@ TEST(NetProtocol, AuditResponseRoundTrip) {
 }
 
 TEST_F(NetLoopbackTest, AuditOnUnauditedStreamIsUnsupported) {
-  // An un-audited server answers AUDIT with kUnsupported in EVERY build:
-  // the audited path is off at runtime here, and a -DSTREAMQ_AUDIT=OFF
-  // build compiles the whole plane away.
+  // A server started without auditing answers AUDIT with kUnsupported.
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client->Create("plain", CreateParams{}).ok());
@@ -815,8 +813,6 @@ TEST_F(NetLoopbackTest, AuditOnUnauditedStreamIsUnsupported) {
   EXPECT_FALSE(stats.stats.audited);
   EXPECT_EQ(stats.stats.audit_rounds, 0u);
 }
-
-#if STREAMQ_AUDIT_ENABLED
 
 TEST_F(NetLoopbackTest, AuditedStreamAnswersAuditAndStats) {
   ServerOptions options;
@@ -969,8 +965,6 @@ TEST_F(NetLoopbackTest, TimerSweepRunsPeriodicAuditRounds) {
   EXPECT_EQ(stats.stats.audit_rounds, 3u);
   EXPECT_EQ(stats.stats.audit_violations, 0u);
 }
-
-#endif  // STREAMQ_AUDIT_ENABLED
 
 TEST_F(NetLoopbackTest, HeadRequestsCarryHeadersWithoutBody) {
   StartServer();

@@ -1,11 +1,6 @@
 // Tests for the observability layer (src/obs/): metric primitives, the
 // registry and its framed snapshot, the sketch-side instrumentation wired
 // through QuantileSketch, and the distributed monitor's publish path.
-//
-// The file compiles and passes in both metrics build flavours; assertions
-// that require live instrumentation are guarded on STREAMQ_METRICS_ENABLED,
-// and a -DSTREAMQ_METRICS=OFF build instead asserts that every sketch-side
-// reading is zero.
 
 #include <gtest/gtest.h>
 
@@ -247,17 +242,10 @@ TEST(SketchMetricsTest, BaseClassCountsUpdatesAndQueries) {
   sketch.QueryMany({0.1, 0.5, 0.9});
   EXPECT_EQ(sketch.Erase(1), StreamqStatus::kUnsupported);
 
-#if STREAMQ_METRICS_ENABLED
   EXPECT_EQ(sketch.metrics().inserts.value(), 100u);
   EXPECT_EQ(sketch.metrics().queries.value(), 2u);  // batch counts once
   EXPECT_EQ(sketch.metrics().erases.value(), 0u);
   EXPECT_EQ(sketch.metrics().rejected.value(), 1u);
-#else
-  // The OFF build keeps the API but every reading is zero.
-  EXPECT_EQ(sketch.metrics().inserts.value(), 0u);
-  EXPECT_EQ(sketch.metrics().queries.value(), 0u);
-  EXPECT_EQ(sketch.metrics().rejected.value(), 0u);
-#endif
 }
 
 TEST(SketchMetricsTest, RejectedUpdatesAreCountedNotInserted) {
@@ -265,10 +253,8 @@ TEST(SketchMetricsTest, RejectedUpdatesAreCountedNotInserted) {
   EXPECT_EQ(digest.Insert(255), StreamqStatus::kOk);
   EXPECT_EQ(digest.Insert(256), StreamqStatus::kOutOfUniverse);
   EXPECT_EQ(digest.Count(), 1u);
-#if STREAMQ_METRICS_ENABLED
   EXPECT_EQ(digest.metrics().inserts.value(), 1u);
   EXPECT_EQ(digest.metrics().rejected.value(), 1u);
-#endif
 }
 
 TEST(SketchMetricsTest, TurnstileEraseIsCounted) {
@@ -276,14 +262,11 @@ TEST(SketchMetricsTest, TurnstileEraseIsCounted) {
   ASSERT_EQ(sketch.Insert(7), StreamqStatus::kOk);
   ASSERT_EQ(sketch.Erase(7), StreamqStatus::kOk);
   EXPECT_EQ(sketch.Erase(uint64_t{1} << 40), StreamqStatus::kOutOfUniverse);
-#if STREAMQ_METRICS_ENABLED
   EXPECT_EQ(sketch.metrics().inserts.value(), 1u);
   EXPECT_EQ(sketch.metrics().erases.value(), 1u);
   EXPECT_EQ(sketch.metrics().rejected.value(), 1u);
-#endif
 }
 
-#if STREAMQ_METRICS_ENABLED
 TEST(SketchMetricsTest, EverySketchReportsCompactions) {
   // Enough stream to force at least one compaction event out of each
   // algorithm that has one (DCM/DCS/RSS are flat arrays: no compaction).
@@ -304,7 +287,6 @@ TEST(SketchMetricsTest, EverySketchReportsCompactions) {
     EXPECT_GT(sketch->metrics().compress_ticks.count(), 0u) << sketch->Name();
   }
 }
-#endif  // STREAMQ_METRICS_ENABLED
 
 TEST(SketchMetricsTest, PublishMetricsFillsRegistryUnderPrefix) {
   GkTheory sketch(0.01);
@@ -313,7 +295,6 @@ TEST(SketchMetricsTest, PublishMetricsFillsRegistryUnderPrefix) {
 
   MetricsRegistry reg;
   sketch.PublishMetrics(reg, "gk");
-#if STREAMQ_METRICS_ENABLED
   ASSERT_NE(reg.FindCounter("gk.inserts"), nullptr);
   ASSERT_NE(reg.FindCounter("gk.queries"), nullptr);
   ASSERT_NE(reg.FindGauge("gk.memory_bytes"), nullptr);
@@ -326,10 +307,6 @@ TEST(SketchMetricsTest, PublishMetricsFillsRegistryUnderPrefix) {
   // Publish is a copy, not a drain: publishing twice is idempotent.
   sketch.PublishMetrics(reg, "gk");
   EXPECT_EQ(reg.FindCounter("gk.inserts")->value(), 5000u);
-#else
-  // The OFF build's PublishTo is a no-op: nothing gets registered.
-  EXPECT_EQ(reg.CounterCount(), 0u);
-#endif
 }
 
 // --- distributed monitor publish ----------------------------------------
