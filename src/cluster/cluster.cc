@@ -50,7 +50,6 @@ std::unique_ptr<QuantileCluster> QuantileCluster::Create(
 
 QuantileCluster::QuantileCluster(const ClusterOptions& options)
     : options_(options),
-      router_(options.routing, options.nodes),
       coordinator_(CoordinatorOptionsOf(options)),
       nodes_(static_cast<size_t>(options.nodes)),
       streams_(static_cast<size_t>(options.nodes)) {
@@ -88,7 +87,7 @@ int QuantileCluster::Append(const Update& update) {
   // update belongs must not depend on which nodes happen to be up, or the
   // reference run and the faulted run would diverge at the source.
   const uint64_t seq = ++global_seq_;
-  const int target = router_.Route(seq, update.value);
+  const int target = static_cast<int>(seq % nodes_.size());
   if (nodes_[static_cast<size_t>(target)] == nullptr) {
     ++dropped_appends_;
     Pump();

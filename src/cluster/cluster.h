@@ -3,10 +3,10 @@
 // the deterministic virtual clock (one tick per appended update).
 //
 // QuantileCluster is the composition root the tests, benches and examples
-// drive. It routes a single logical stream across the nodes with the same
-// deterministic ShardRouter the pipeline uses for shards -- the node of an
-// update is a pure function of (global seq, value) -- and records each
-// node's routed sub-stream, which is what makes kill-and-recover
+// drive. It routes a single logical stream across the nodes round-robin,
+// as the pipeline routes its shards -- the node of the update with global
+// seq s is s mod k -- and records each node's routed sub-stream, which is
+// what makes kill-and-recover
 // reproducible: after a node is restarted from whatever its storage holds,
 // ReplayNode() re-pushes exactly the recorded tail from the pipeline's
 // ResumeSeq() and the per-shard seq dedup absorbs the overlap.
@@ -34,7 +34,6 @@
 #include "cluster/coordinator.h"
 #include "cluster/ingest_node.h"
 #include "distributed/channel.h"
-#include "ingest/shard_router.h"
 #include "obs/metrics.h"
 #include "stream/update.h"
 
@@ -53,9 +52,6 @@ struct ClusterOptions {
   /// Coordinator staleness threshold and probe backoff.
   uint64_t stale_after = 1024;
   RetryPolicy probe;
-  /// Routes each appended update to a node (seq here is the cluster-wide
-  /// append sequence; kRoundRobin balances, kHash keeps values together).
-  ingest::ShardingPolicy routing = ingest::ShardingPolicy::kRoundRobin;
   /// Fault model of the two channel directions (same spec for every node;
   /// each node's channels still draw from independent seeded streams).
   FaultSpec data_faults;
@@ -165,7 +161,6 @@ class QuantileCluster {
   bool Converged() const;
 
   ClusterOptions options_;
-  ingest::ShardRouter router_;
   ClusterCoordinator coordinator_;
   std::vector<std::unique_ptr<IngestNode>> nodes_;
   std::vector<std::unique_ptr<FaultyChannel>> data_ch_;  // node -> coord

@@ -28,12 +28,13 @@ struct ShardStats {
   std::atomic<uint64_t> processed{0};
   /// Updates the shard sketch refused (out-of-universe, unsupported erase).
   std::atomic<uint64_t> rejected{0};
-  /// Ring-full events: every failed TryPush, and each blocking-Push stall
-  /// episode (one count per episode, however long the backoff runs).
+  /// Ring-full events: every TryPushBatch that this shard's full ring cut
+  /// short, and each PushBatch stall episode that began at this shard
+  /// (one count per episode, however long the backoff runs).
   std::atomic<uint64_t> ring_full_stalls{0};
-  /// 100 ms watchdog periods elapsed inside a single continuous Push
-  /// stall; a nonzero rate means this shard's consumer is stuck, not just
-  /// momentarily behind.
+  /// 100 ms watchdog periods elapsed inside a single continuous PushBatch
+  /// stall while this shard's ring was the one blocking it; a nonzero rate
+  /// means this shard's consumer is stuck, not just momentarily behind.
   std::atomic<uint64_t> stall_watchdog_trips{0};
   /// Shard snapshots cloned and installed by the worker.
   std::atomic<uint64_t> snapshots{0};
@@ -54,7 +55,7 @@ struct ShardStats {
 
 /// Pipeline-wide statistics (single struct, shared by all threads).
 struct PipelineStats {
-  /// Updates accepted by Push/TryPush across all shards.
+  /// Updates accepted by the push entry points across all shards.
   std::atomic<uint64_t> pushed{0};
   /// Merged query-view publications (successful ones).
   std::atomic<uint64_t> publishes{0};

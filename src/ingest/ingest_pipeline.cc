@@ -81,23 +81,6 @@ uint64_t ApplyEntries(QuantileSketch& sketch, obs::ReservoirShadow* shadow,
   return rejected;
 }
 
-/// Feeds one replayed WAL entry into a shard's audit shadow, mirroring
-/// what the entry folded into the sketch: delta == +1 observes the value,
-/// delta > 1 observes that many copies, and any deletion taints the shadow
-/// (a reservoir cannot unsample). Recovery-only; the worker hot path feeds
-/// the shadow inside ApplyEntries instead.
-void FeedShadowEntry(obs::ReservoirShadow& shadow, uint64_t value,
-                     int64_t delta) {
-  if (delta == 1) {
-    shadow.Observe(value);
-  } else if (delta > 1) {
-    shadow.ObserveSpan(static_cast<size_t>(delta),
-                       [value](size_t) { return value; });
-  } else if (delta < 0) {
-    shadow.Taint();
-  }
-}
-
 /// Per-shard shadow seed: deterministic in (sketch seed, shard index) so a
 /// rebuilt pipeline reproduces its samples, distinct across shards so the
 /// merged shadow is not sampling correlated positions.
@@ -162,7 +145,7 @@ std::unique_ptr<IngestPipeline> IngestPipeline::Create(
 }
 
 IngestPipeline::IngestPipeline(const IngestOptions& options)
-    : options_(options), router_(options.sharding, options.shards) {
+    : options_(options) {
   shards_.reserve(static_cast<size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>(options_.ring_capacity);
@@ -238,6 +221,8 @@ bool IngestPipeline::InitDurability() {
   // makes rolled-segment duplicates harmless (wal.h).
   uint64_t max_segment = 0;
   std::vector<std::pair<int, uint64_t>>& old_segments = d.old_segments;
+  std::vector<durability::WalEntry> replay;
+  std::vector<uint64_t> apply_scratch;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     STREAMQ_TRACE_SPAN(obs::TracePoint::kRecoveryReplay, i);
@@ -264,18 +249,23 @@ bool IngestPipeline::InitDurability() {
           durability::ScanWalSegment(contents, static_cast<int>(i));
       recovery_.replayed_records += scan.records;
       if (!scan.clean) ++recovery_.torn_segments;
+      replay.clear();
       for (const durability::WalEntry& e : scan.entries) {
         if (e.seq <= hw) continue;
-        ApplyUpdate(*shard.sketch, e.value, e.delta);
-        // Replayed updates feed the shadow too, so only the
-        // checkpoint-covered prefix (whose raw values are gone) is left to
-        // the auditor's coverage-gap guard.
-        if (shard.shadow != nullptr) {
-          FeedShadowEntry(*shard.shadow, e.value, e.delta);
-        }
+        replay.push_back(e);
         hw = e.seq;
-        ++recovery_.replayed_updates;
       }
+      // The workers' apply path, so the replayed tail reaches the sketch
+      // and the shadow exactly as it did live (UpdateBatch and
+      // ObserveBatch match their item-wise forms). Feeding the shadow
+      // leaves only the checkpoint-covered prefix, whose raw values are
+      // gone, to the auditor's coverage-gap guard.
+      ApplyEntries(
+          *shard.sketch, shard.shadow.get(), replay.data(), replay.size(),
+          apply_scratch, [](const durability::WalEntry& e) { return e.value; },
+          [](const durability::WalEntry& e) { return e.delta; },
+          [](const durability::WalEntry&) {});
+      recovery_.replayed_updates += replay.size();
     }
     shard.durable->applied_seq = hw;
     UpdatePeak(shard.stats.peak_memory_bytes,
@@ -373,161 +363,90 @@ void IngestPipeline::Start() {
 
 IngestPipeline::~IngestPipeline() { Stop(); }
 
-bool IngestPipeline::TryPush(const Update& update) {
-  const uint64_t seq = next_seq_.load(std::memory_order_relaxed);
-  const int shard_idx = router_.Route(seq, update.value);
-  Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
-  if (!shard.ring.TryPush(SeqUpdate{seq, update})) {
-    shard.stats.ring_full_stalls.fetch_add(1, std::memory_order_relaxed);
-    STREAMQ_TRACE_INSTANT(obs::TracePoint::kRingFull, shard_idx);
-    return false;  // seq not consumed: the next attempt reuses it
-  }
-  // last_seq strictly before next_seq_ (both release, and DurableSeq
-  // loads next_seq_ first with acquire): DurableSeq starts from
-  // next_seq_ - 1 and only clamps on shards whose floor < last_seq, so
-  // publishing the new seq ceiling while the shard still shows the old
-  // last_seq would report this merely-enqueued, un-logged update as
-  // durable. This order can only underclaim, which is safe.
-  shard.stats.last_seq.store(seq, std::memory_order_release);
-  next_seq_.store(seq + 1, std::memory_order_release);
-  shard.stats.pushed.fetch_add(1, std::memory_order_relaxed);
-  stats_.pushed.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void IngestPipeline::Push(const Update& update) {
-  STREAMQ_TRACE_SPAN(obs::TracePoint::kPush, update.value);
-  const uint64_t seq = next_seq_.load(std::memory_order_relaxed);
-  const int shard_idx = router_.Route(seq, update.value);
-  Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
-  const SeqUpdate item{seq, update};
-  if (!shard.ring.TryPush(item)) PushBatchSlow(shard, shard_idx, &item, 1);
-  // last_seq before next_seq_; see TryPush for the DurableSeq ordering
-  // argument.
-  shard.stats.last_seq.store(seq, std::memory_order_release);
-  next_seq_.store(seq + 1, std::memory_order_release);
-  shard.stats.pushed.fetch_add(1, std::memory_order_relaxed);
-  stats_.pushed.fetch_add(1, std::memory_order_relaxed);
-}
-
-void IngestPipeline::PushBatch(std::span<const Update> updates) {
-  if (updates.empty()) return;
-  STREAMQ_TRACE_SPAN(obs::TracePoint::kPush, updates.size());
+size_t IngestPipeline::PushPrefix(std::span<const Update> updates) {
+  const size_t n = updates.size();
+  const size_t shards = shards_.size();
   const uint64_t seq0 = next_seq_.load(std::memory_order_relaxed);
-  // One routing pass partitions the span into per-shard runs. Seqs are
-  // assigned in span order and appended in that order, so each run's seqs
-  // stay strictly increasing (the WAL invariant), and routing depends only
-  // on (seq, value), so a replayed or re-pushed batch lands on the same
-  // shards (see the sharding note in the header).
-  if (push_scratch_.size() != shards_.size()) {
-    push_scratch_.resize(shards_.size());
+  const size_t first = ShardOf(seq0);
+  const auto shard_at = [&](size_t k) -> Shard& {
+    return *shards_[first + k < shards ? first + k : first + k - shards];
+  };
+  // Round-robin routing fixes every update's shard up front: the k-th
+  // shard in span order, (first + k) mod N, owns span indices k, k + N,
+  // k + 2N, ... A shard with `free` slots therefore blocks the span at
+  // index k + free * N, and the accepted prefix ends at the smallest such
+  // index. Shards are probed in span order and the probe stops once k
+  // reaches the prefix found so far, since no later shard can shorten it:
+  // a span refused at its first update reads one ring. Every shard wants
+  // at most ceil(n / N) slots, so a cached head showing that many free
+  // spares the probe its consumer-index load.
+  const size_t want = n <= shards ? 1 : (n + shards - 1) / shards;
+  size_t accepted = n;
+  for (size_t k = 0; k < shards && k < accepted; ++k) {
+    const size_t free = shard_at(k).ring.FreeSlots(want);
+    accepted = std::min(accepted, k + free * shards);
   }
-  for (auto& run : push_scratch_) run.clear();
-  for (size_t k = 0; k < updates.size(); ++k) {
+  if (accepted == 0) return 0;
+  // Shard k takes ceil((accepted - k) / N) of the prefix: q each, plus
+  // one for the first r shards.
+  const size_t q = accepted < shards ? 0 : accepted / shards;
+  const size_t r = accepted < shards ? accepted : accepted % shards;
+  for (size_t k = 0; k < shards && k < accepted; ++k) {
+    Shard& shard = shard_at(k);
+    const size_t count = q + (k < r ? 1 : 0);
     const uint64_t seq = seq0 + k;
-    const int shard_idx = router_.Route(seq, updates[k].value);
-    push_scratch_[static_cast<size_t>(shard_idx)].push_back(
-        SeqUpdate{seq, updates[k]});
+    const Update* run = updates.data() + k;
+    shard.ring.Push(count, [seq, run, shards](size_t j) {
+      return SeqUpdate{seq + j * shards, run[j * shards]};
+    });
+    // Every shard's last_seq strictly before next_seq_ (all release, and
+    // DurableSeq loads next_seq_ first with acquire): DurableSeq starts
+    // from next_seq_ - 1 and only clamps on shards whose floor < last_seq,
+    // so publishing the new seq ceiling while a shard still shows its old
+    // last_seq would report merely-enqueued, un-logged updates as durable.
+    // This order can only underclaim, which is safe.
+    shard.stats.last_seq.store(seq + (count - 1) * shards,
+                               std::memory_order_release);
+    shard.stats.pushed.fetch_add(count, std::memory_order_relaxed);
   }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<SeqUpdate>& run = push_scratch_[s];
-    if (run.empty()) continue;
-    Shard& shard = *shards_[s];
-    const size_t pushed = shard.ring.TryPushBatch(run.data(), run.size());
-    if (pushed < run.size()) {
-      PushBatchSlow(shard, static_cast<int>(s), run.data() + pushed,
-                    run.size() - pushed);
-    }
-    // Every shard's last_seq lands before the single next_seq_ advance
-    // below; see TryPush for the DurableSeq ordering argument (deferring
-    // the ceiling past ALL runs can only underclaim more, which is safe).
-    shard.stats.last_seq.store(run.back().seq, std::memory_order_release);
-    shard.stats.pushed.fetch_add(run.size(), std::memory_order_relaxed);
-  }
-  next_seq_.store(seq0 + updates.size(), std::memory_order_release);
-  stats_.pushed.fetch_add(updates.size(), std::memory_order_relaxed);
+  next_seq_.store(seq0 + accepted, std::memory_order_release);
+  stats_.pushed.fetch_add(accepted, std::memory_order_relaxed);
+  return accepted;
 }
 
 size_t IngestPipeline::TryPushBatch(std::span<const Update> updates) {
-  if (updates.empty()) return 0;
-  const uint64_t seq0 = next_seq_.load(std::memory_order_relaxed);
-  // Fast path: partition into per-shard runs exactly like PushBatch, and
-  // take it only when every run fits its ring right now (ProducerFree is
-  // a lower bound, so the subsequent multi-slot pushes cannot fail).
-  if (push_scratch_.size() != shards_.size()) {
-    push_scratch_.resize(shards_.size());
-  }
-  for (auto& run : push_scratch_) run.clear();
-  for (size_t k = 0; k < updates.size(); ++k) {
-    const uint64_t seq = seq0 + k;
-    const int shard_idx = router_.Route(seq, updates[k].value);
-    push_scratch_[static_cast<size_t>(shard_idx)].push_back(
-        SeqUpdate{seq, updates[k]});
-  }
-  bool fits = true;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<SeqUpdate>& run = push_scratch_[s];
-    if (!run.empty() && shards_[s]->ring.ProducerFree() < run.size()) {
-      fits = false;
-      break;
-    }
-  }
-  if (fits) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const std::vector<SeqUpdate>& run = push_scratch_[s];
-      if (run.empty()) continue;
-      Shard& shard = *shards_[s];
-      const size_t pushed = shard.ring.TryPushBatch(run.data(), run.size());
-      (void)pushed;  // guaranteed complete by the ProducerFree probe
-      shard.stats.last_seq.store(run.back().seq, std::memory_order_release);
-      shard.stats.pushed.fetch_add(run.size(), std::memory_order_relaxed);
-    }
-    next_seq_.store(seq0 + updates.size(), std::memory_order_release);
-    stats_.pushed.fetch_add(updates.size(), std::memory_order_relaxed);
-    return updates.size();
-  }
-  // Slow path: item-wise fill preserving the prefix contract -- stop at
-  // the first full ring so accepted seqs stay contiguous (the WAL and
-  // DurableSeq invariants both ride on gap-free seq assignment).
-  size_t accepted = 0;
-  for (; accepted < updates.size(); ++accepted) {
-    const uint64_t seq = seq0 + accepted;
-    const int shard_idx = router_.Route(seq, updates[accepted].value);
-    Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
-    if (!shard.ring.TryPush(SeqUpdate{seq, updates[accepted]})) {
-      shard.stats.ring_full_stalls.fetch_add(1, std::memory_order_relaxed);
-      STREAMQ_TRACE_INSTANT(obs::TracePoint::kRingFull, shard_idx);
-      break;
-    }
-    // last_seq before next_seq_; see TryPush for the DurableSeq ordering
-    // argument.
-    shard.stats.last_seq.store(seq, std::memory_order_release);
-    next_seq_.store(seq + 1, std::memory_order_release);
-    shard.stats.pushed.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (accepted != 0) {
-    stats_.pushed.fetch_add(accepted, std::memory_order_relaxed);
+  const size_t accepted = PushPrefix(updates);
+  if (accepted < updates.size()) {
+    // The first refused update's shard is the one whose ring is full.
+    const size_t blocked = ShardOf(next_seq_.load(std::memory_order_relaxed));
+    shards_[blocked]->stats.ring_full_stalls.fetch_add(
+        1, std::memory_order_relaxed);
+    STREAMQ_TRACE_INSTANT(obs::TracePoint::kRingFull, blocked);
   }
   return accepted;
 }
 
-void IngestPipeline::PushBatchSlow(Shard& shard, int shard_idx,
-                                   const SeqUpdate* items, size_t n) {
+void IngestPipeline::PushBatch(std::span<const Update> updates) {
+  STREAMQ_TRACE_SPAN(obs::TracePoint::kPush, updates.size());
+  size_t done = PushPrefix(updates);
+  if (done == updates.size()) return;
   // Backpressure: the ring bounds memory, so a producer outrunning a
   // worker waits here instead of growing a queue. Capped exponential
   // backoff: brief yields catch the common blip without latency cost,
   // then doubling sleeps stop a long stall from burning a core. The whole
-  // episode -- however many partial multi-slot pushes it takes -- ticks
+  // episode -- however many partial pushes it takes -- ticks
   // ring_full_stalls ONCE and records its total duration ONCE, so batched
   // producers neither inflate nor starve the stall signal relative to
-  // item-wise ones (Push comes here with n == 1). Progress resets the
-  // backoff ladder (a partial push means the worker is draining, so the
-  // next retry yields before it sleeps again) but not the episode. The
-  // watchdog ticks every 100 ms of continuous stalling so a wedged
-  // consumer shows up in metrics while the stall is still in progress
-  // (and, on the first trip, freezes the flight recorder into a crash dump
-  // while the evidence is fresh).
-  STREAMQ_TRACE_SPAN(obs::TracePoint::kPushBackoff, shard_idx);
+  // item-wise ones. Progress resets the backoff ladder (a partial push
+  // means the workers are draining, so the next retry yields before it
+  // sleeps again) but not the episode. The watchdog ticks every 100 ms of
+  // continuous stalling so a wedged consumer shows up in metrics while the
+  // stall is still in progress (and, on the first trip, freezes the flight
+  // recorder into a crash dump while the evidence is fresh).
+  const size_t blocked = ShardOf(next_seq_.load(std::memory_order_relaxed));
+  STREAMQ_TRACE_SPAN(obs::TracePoint::kPushBackoff, blocked);
+  shards_[blocked]->stats.ring_full_stalls.fetch_add(
+      1, std::memory_order_relaxed);
   using Clock = std::chrono::steady_clock;
   constexpr auto kMaxDelay = std::chrono::microseconds(1000);
   constexpr auto kWatchdogPeriod = std::chrono::milliseconds(100);
@@ -536,10 +455,8 @@ void IngestPipeline::PushBatchSlow(Shard& shard, int shard_idx,
   Clock::time_point next_watchdog = start + kWatchdogPeriod;
   auto delay = std::chrono::microseconds(1);
   int spins = 0;
-  shard.stats.ring_full_stalls.fetch_add(1, std::memory_order_relaxed);
-  size_t done = 0;
-  while (done < n) {
-    const size_t pushed = shard.ring.TryPushBatch(items + done, n - done);
+  while (done < updates.size()) {
+    const size_t pushed = PushPrefix(updates.subspan(done));
     if (pushed > 0) {
       done += pushed;
       spins = 0;
@@ -554,9 +471,11 @@ void IngestPipeline::PushBatchSlow(Shard& shard, int shard_idx,
       delay = std::min(delay * 2, kMaxDelay);
       const Clock::time_point now = Clock::now();
       if (now >= next_watchdog) {
-        shard.stats.stall_watchdog_trips.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        STREAMQ_TRACE_INSTANT(obs::TracePoint::kStallWatchdog, shard_idx);
+        const size_t stuck =
+            ShardOf(next_seq_.load(std::memory_order_relaxed));
+        shards_[stuck]->stats.stall_watchdog_trips.fetch_add(
+            1, std::memory_order_relaxed);
+        STREAMQ_TRACE_INSTANT(obs::TracePoint::kStallWatchdog, stuck);
         STREAMQ_TRACE_CRASH_DUMP("stall_watchdog");
         next_watchdog = now + kWatchdogPeriod;
       }

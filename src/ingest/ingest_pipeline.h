@@ -2,7 +2,7 @@
 //
 // Topology (DESIGN.md section 10):
 //
-//   producer --ShardRouter--> [SPSC ring]xN --> N shard workers,
+//   producer --seq mod N--> [SPSC ring]xN --> N shard workers,
 //   each owning a private sketch (no shared mutable state on the hot path)
 //
 //   workers periodically Clone() their shard sketch into a per-shard
@@ -41,12 +41,18 @@
 //     recovered, every update at or above it is re-pushed, and the
 //     pipeline converges to exactly the uninterrupted stream.
 //
-// Sharding is deterministic in (seq, value) -- round-robin is seq mod N,
-// hash depends only on the value -- which is what makes replayed and
-// re-pushed updates land on the shard that already knows their seq.
+// Routing is round-robin and stateless: the update with seq s goes to
+// shard s mod N, which is what makes replayed and re-pushed updates land on
+// the shard that already knows their seq. It also fixes where every update
+// of a span goes before anything is written: the k-th shard in span order
+// owns span indices k, k + N, k + 2N, ..., so one producer routine sizes
+// the accepted prefix from each ring's free slots and copies each shard's
+// strided run straight into its ring (TryPushBatch; PushBatch, TryPush and
+// Push are built on it).
 //
 // Threading contract:
-//  * Push/TryPush/Flush: one producer thread at a time.
+//  * Push/TryPush/PushBatch/TryPushBatch/Flush: one producer thread at a
+//    time.
 //  * Query/QueryMany: any threads, any time (serialised internally on a
 //    query mutex because QuantileSketch::Query mutates lazy caches; the
 //    mutex is never taken by ingestion).
@@ -72,7 +78,6 @@
 #include "obs/audit.h"
 #include "ingest/query_view.h"
 #include "ingest/shared_slot.h"
-#include "ingest/shard_router.h"
 #include "ingest/spsc_ring.h"
 #include "obs/metrics.h"
 #include "quantile/factory.h"
@@ -97,7 +102,6 @@ struct IngestOptions {
   /// additionally publish whatever they have, so the view goes fresh
   /// whenever ingestion pauses.
   uint64_t publish_interval = uint64_t{1} << 16;
-  ShardingPolicy sharding = ShardingPolicy::kRoundRobin;
   /// Crash-safety (WAL + checkpoints). Disabled by default; requires a
   /// non-null storage when enabled, otherwise Create() returns nullptr.
   durability::DurabilityOptions durability;
@@ -163,44 +167,39 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Non-blocking enqueue; false when the target shard's ring is full (the
-  /// update was not accepted and its seq was not consumed). Single
-  /// producer.
-  bool TryPush(const Update& update);
+  /// Non-blocking batch enqueue: accepts the longest PREFIX of `updates`
+  /// whose updates all fit their shards' rings right now and returns its
+  /// length, possibly 0 or updates.size(). Seqs are assigned only to the
+  /// accepted prefix, so they stay contiguous and the caller re-offers
+  /// exactly the rejected suffix later. Each shard's strided run lands
+  /// with one multi-slot ring push; a refused call (accepted <
+  /// updates.size()) ticks the blocking shard's `ring_full_stalls` once. A
+  /// call that accepts nothing reads each shard's ring state at most once
+  /// and copies nothing. The network tier's backpressure primitive
+  /// (src/net/): a server parks the suffix and stops reading the
+  /// connection instead of blocking its event loop or buffering
+  /// unboundedly. Single producer.
+  size_t TryPushBatch(std::span<const Update> updates);
 
-  /// Blocking enqueue: waits until the target shard's ring accepts the
-  /// update, spinning with capped exponential backoff (yields first, then
-  /// sleeps doubling up to 1 ms). Stall time lands in the
-  /// `ring_full_stall_ns` histogram and every 100 ms of one continuous
-  /// stall trips the shard's stall watchdog counter, so a stuck consumer
-  /// is observable instead of silently burning CPU. Single producer.
-  void Push(const Update& update);
-
-  /// Blocking batch enqueue, equivalent to Push(updates[0..n)) in order but
-  /// amortising the per-update costs: the whole span is routed in one pass
-  /// into per-shard runs (seq order preserved within each shard, so WAL
-  /// seqs stay strictly increasing and replay routing is deterministic),
-  /// each run lands with multi-slot ring pushes (one Lamport handshake per
-  /// span instead of per element), and the producer-side counters advance
-  /// once per batch. A shard run that does not fit falls back to the same
-  /// capped-backoff slow path as Push; however many partial pushes one
-  /// episode takes, it is ticked ONCE in `ring_full_stalls` and its total
-  /// duration lands ONCE in the `ring_full_stall_ns` histogram, so batched
-  /// producers keep the same stall signal as item-wise ones. Single
-  /// producer.
+  /// Blocking batch enqueue: TryPushBatch's routine, retried until the
+  /// whole span is in. While a ring is full it waits with capped
+  /// exponential backoff (yields first, then sleeps doubling up to 1 ms);
+  /// progress resets the backoff. However many retries it takes, a call
+  /// that has to wait is ONE stall episode: one `ring_full_stalls` tick on
+  /// the shard that blocked it and one `ring_full_stall_ns` sample of its
+  /// whole duration. Every 100 ms of one episode trips the blocking
+  /// shard's stall watchdog counter, so a stuck consumer is observable
+  /// instead of silently burning CPU. Single producer.
   void PushBatch(std::span<const Update> updates);
 
-  /// Non-blocking batch enqueue: accepts a maximal PREFIX of `updates`
-  /// (in span order -- seqs are assigned only to the accepted elements, so
-  /// the caller re-offers exactly the rejected suffix later) and returns
-  /// its length, possibly 0 (every target ring full) or updates.size()
-  /// (all accepted). When every shard run fits its ring, this is
-  /// PushBatch's amortised multi-slot fast path; otherwise it degrades to
-  /// an item-wise fill that stops at the first full ring. The network
-  /// tier's backpressure primitive (src/net/): a server parks the suffix
-  /// and stops reading the connection instead of blocking its event loop
-  /// or buffering unboundedly. Single producer.
-  size_t TryPushBatch(std::span<const Update> updates);
+  /// One-update TryPushBatch: false when the target ring is full (the
+  /// update was not accepted and its seq was not consumed).
+  bool TryPush(const Update& update) {
+    return TryPushBatch({&update, 1}) == 1;
+  }
+
+  /// One-update PushBatch.
+  void Push(const Update& update) { PushBatch({&update, 1}); }
 
   /// Waits until every pushed update has been applied to its shard sketch
   /// -- and, in durable mode, is covered by the acknowledgement mark or
@@ -366,12 +365,14 @@ class IngestPipeline {
   void Start();
 
   void WorkerLoop(Shard& shard);
-  /// Ring-full slow path of Push (n == 1) and PushBatch: pushes the
-  /// remaining items[0..n) of one shard run with capped backoff and the
-  /// stall watchdog, counting the whole episode as one stall however many
-  /// partial multi-slot pushes it takes.
-  void PushBatchSlow(Shard& shard, int shard_idx, const SeqUpdate* items,
-                     size_t n);
+  /// The one producer routine behind every push entry point: pushes the
+  /// longest prefix of `updates` that fits the rings right now, stores
+  /// every touched shard's last_seq and then next_seq_, and returns the
+  /// prefix length. Counts no stall; its callers decide what a refusal is.
+  size_t PushPrefix(std::span<const Update> updates);
+  /// The shard that receives `seq` (round-robin: seq mod N) -- the only
+  /// routing rule; PushPrefix's strided runs follow from it.
+  size_t ShardOf(uint64_t seq) const { return seq % shards_.size(); }
   /// Clones the shard sketch into its snapshot slot (worker thread only).
   void PublishShardSnapshot(Shard& shard);
   /// Merges all shard snapshots into a fresh sketch and installs it into
@@ -389,7 +390,6 @@ class IngestPipeline {
   void PruneOldSegmentsLocked();
 
   IngestOptions options_;
-  ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
@@ -397,9 +397,6 @@ class IngestPipeline {
   /// Next seq the producer will assign (producer-owned; atomic only so
   /// DurableSeq() may read it from other threads).
   std::atomic<uint64_t> next_seq_{1};
-  /// PushBatch partition scratch, one run per shard (producer-owned;
-  /// reused across batches so routing allocates only on growth).
-  std::vector<std::vector<SeqUpdate>> push_scratch_;
   RecoveryInfo recovery_;  // written by Create, immutable afterwards
   std::unique_ptr<PipelineDurable> durable_;  // null when durability off
 
@@ -412,8 +409,8 @@ class IngestPipeline {
   uint64_t slot_bytes_[2] = {0, 0};
   int last_slot_ = 0;
 
-  // Guarded by stall_mutex_ (touched only on the ring-full slow path and
-  // by PublishMetrics, never on the fast path).
+  // Guarded by stall_mutex_ (touched only at the end of a PushBatch stall
+  // episode and by PublishMetrics, never on the fast path).
   std::mutex stall_mutex_;
   obs::Histogram ring_full_stall_ns_;
 

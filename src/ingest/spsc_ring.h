@@ -16,12 +16,18 @@
 //  * Release/acquire pairing: the producer's tail_ store releases the slot
 //    writes, the consumer's tail_ load acquires them (and symmetrically for
 //    head_ on reuse of slots). No seq_cst, no fences, no locks.
-//  * No allocation after construction; TryPush/PopBatch never block.
+//  * One producer primitive: FreeSlots(want) probes how many slots are
+//    free, then Push(n, fill) fills n of them and publishes them with a
+//    single release store, so a span costs one handshake however long it
+//    is. The pipeline's producer sizes each shard's strided run from the
+//    probe before writing anything (ingest_pipeline.h).
+//  * No allocation after construction; FreeSlots/Push/PopBatch never
+//    block.
 //
-// Thread-safety contract: at most one thread calls TryPush/SizeApprox's
-// producer side and at most one thread calls PopBatch. This is exactly the
-// pipeline's topology (one router thread, one worker per ring) and is what
-// makes the wait-free index protocol sufficient.
+// Thread-safety contract: at most one thread calls FreeSlots/Push and at
+// most one thread calls PopBatch. This is exactly the pipeline's topology
+// (one producer thread, one worker per ring) and is what makes the
+// wait-free index protocol sufficient.
 
 #ifndef STREAMQ_INGEST_SPSC_RING_H_
 #define STREAMQ_INGEST_SPSC_RING_H_
@@ -50,54 +56,29 @@ class SpscRing {
 
   size_t capacity() const { return slots_.size(); }
 
-  /// Producer side. Returns false (ring full, element not enqueued) without
-  /// blocking; the caller decides whether to spin, yield, or drop.
-  bool TryPush(const T& value) {
+  /// Producer side: free slots right now. Reads the producer's cached copy
+  /// of the consumer index first and reloads head_ (the one cross-core
+  /// handshake) only when that copy shows fewer than `want` free slots.
+  /// The consumer only ever frees slots, so the result is a lower bound:
+  /// a following Push of at most this many elements cannot overrun it.
+  size_t FreeSlots(size_t want) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ >= slots_.size()) {
+    size_t free = static_cast<size_t>(slots_.size() - (tail - cached_head_));
+    if (free < want) {
       cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ >= slots_.size()) return false;
+      free = static_cast<size_t>(slots_.size() - (tail - cached_head_));
     }
-    slots_[tail & mask_] = value;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
+    return free;
   }
 
-  /// Producer side, multi-slot: enqueues as many of values[0..n) as fit
-  /// (front first, order preserved) and returns the number enqueued --
-  /// possibly 0 (ring full) or less than n (partial push; the caller
-  /// retries the tail of the batch, typically after a backoff). One
-  /// cached-head check and ONE releasing tail_ store cover the whole span,
-  /// amortising the Lamport handshake over the batch; the single release
-  /// still publishes every slot write to the consumer.
-  size_t TryPushBatch(const T* values, size_t n) {
+  /// Producer side: writes fill(0), ..., fill(n - 1) into the next n slots
+  /// in order and publishes all of them with ONE releasing tail_ store.
+  /// n must not exceed the last FreeSlots() result; n == 0 is a no-op.
+  template <typename Fill>
+  void Push(size_t n, Fill fill) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    uint64_t free = slots_.size() - (tail - cached_head_);
-    if (free < n) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      free = slots_.size() - (tail - cached_head_);
-      if (free == 0) return 0;
-    }
-    const size_t take = n < free ? n : static_cast<size_t>(free);
-    for (size_t i = 0; i < take; ++i) {
-      slots_[(tail + i) & mask_] = values[i];
-    }
-    tail_.store(tail + take, std::memory_order_release);
-    return take;
-  }
-
-  /// Producer side: free slots available right now. Refreshes the cached
-  /// consumer index once, like TryPushBatch; the consumer only ever frees
-  /// more slots, so the returned value is a lower bound that a subsequent
-  /// TryPushBatch of at most this many elements is guaranteed to accept.
-  size_t ProducerFree() {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    uint64_t free = slots_.size() - (tail - cached_head_);
-    if (free < slots_.size()) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      free = slots_.size() - (tail - cached_head_);
-    }
-    return static_cast<size_t>(free);
+    for (size_t i = 0; i < n; ++i) slots_[(tail + i) & mask_] = fill(i);
+    tail_.store(tail + n, std::memory_order_release);
   }
 
   /// Consumer side: dequeues up to `max` elements into `out`, returning the

@@ -464,42 +464,37 @@ void StreamqServer::Execute(Session& session, const NetRequest& request) {
   resp.id = request.id;
   resp.op = request.op;
   switch (request.op) {
-    case NetOp::kInsert: {
-      if (request.delta == 0) {
+    case NetOp::kInsert:
+    case NetOp::kBatchInsert: {
+      // An INSERT is a one-update batch that carries its delta: both push
+      // through TryPushBatch and park the same way.
+      const bool single = request.op == NetOp::kInsert;
+      if (single && request.delta == 0) {
         EnqueueError(session, request, NetStatus::kBadRequest, "delta == 0");
         break;
       }
-      const Update update{request.value, request.delta};
-      if (!pipeline->TryPush(update)) {
-        session.parked = Parked::kInsert;
-        session.parked_req = request;
-        session.parked_pipeline = pipeline;
-        session.parked_start_ns = start_ns;
-        std::lock_guard<std::mutex> lock(metrics_mutex_);
-        registry_.GetCounter("net.parks").Inc();
-        return;  // response comes when the ring accepts it
+      const Update one{request.value, request.delta};
+      std::vector<Update> batch;
+      if (!single) {
+        batch.reserve(request.values.size());
+        for (const uint64_t v : request.values) batch.push_back(Update{v, +1});
       }
-      resp.value = 1;
-      Enqueue(session, resp);
-      break;
-    }
-    case NetOp::kBatchInsert: {
-      std::vector<Update> updates;
-      updates.reserve(request.values.size());
-      for (const uint64_t v : request.values) updates.push_back(Update{v, +1});
-      const size_t accepted =
-          pipeline->TryPushBatch(std::span<const Update>(updates));
+      const std::span<const Update> updates =
+          single ? std::span<const Update>(&one, 1)
+                 : std::span<const Update>(batch);
+      const size_t accepted = pipeline->TryPushBatch(updates);
       if (accepted < updates.size()) {
         session.parked = Parked::kBatch;
         session.parked_req = request;
         session.parked_req.values.clear();  // batch lives in parked_updates
-        session.parked_updates = std::move(updates);
+        session.parked_updates =
+            single ? std::vector<Update>{one} : std::move(batch);
         session.parked_off = accepted;
         session.parked_pipeline = pipeline;
         session.parked_start_ns = start_ns;
         std::lock_guard<std::mutex> lock(metrics_mutex_);
         registry_.GetCounter("net.parks").Inc();
-        return;
+        return;  // response comes when the rings accept the rest
       }
       resp.value = updates.size();
       Enqueue(session, resp);
@@ -589,12 +584,6 @@ bool StreamqServer::RetryParked(Session& session) {
   resp.id = session.parked_req.id;
   resp.op = session.parked_req.op;
   switch (session.parked) {
-    case Parked::kInsert: {
-      const Update update{session.parked_req.value, session.parked_req.delta};
-      if (!pipeline->TryPush(update)) return false;
-      resp.value = 1;
-      break;
-    }
     case Parked::kBatch: {
       const std::span<const Update> rest(
           session.parked_updates.data() + session.parked_off,

@@ -210,8 +210,10 @@ class StreamqServer {
     uint64_t last_audit_ns = 0;  // sweep-driven rounds (0 = due now)
   };
 
-  /// What a parked session is waiting for.
-  enum class Parked { kNone, kInsert, kBatch, kFlush };
+  /// What a parked session is waiting for: the rest of an INSERT or
+  /// BATCH_INSERT to fit the rings (kBatch; an INSERT parks as a
+  /// one-update batch), or a FLUSH barrier.
+  enum class Parked { kNone, kBatch, kFlush };
 
   struct Session {
     std::unique_ptr<Conn> conn;
@@ -226,7 +228,7 @@ class StreamqServer {
     // Parked work (at most one; the session processes no frames past it).
     Parked parked = Parked::kNone;
     NetRequest parked_req;
-    std::vector<Update> parked_updates;  // kBatch: full batch
+    std::vector<Update> parked_updates;  // kBatch: the whole request
     size_t parked_off = 0;               // kBatch: accepted prefix length
     ingest::IngestPipeline* parked_pipeline = nullptr;
     uint64_t parked_start_ns = 0;

@@ -58,9 +58,9 @@ namespace streamq::obs {
 /// Every instrumented site in the pipeline. Names/categories for export come
 /// from TracePointName()/TracePointCategory().
 enum class TracePoint : uint8_t {
-  kPush = 0,           ///< IngestPipeline::Push (arg: update value)
-  kPushBackoff,        ///< ring-full backoff inside PushBatchSlow (arg: shard)
-  kRingFull,           ///< instant: TryPush refused, ring full (arg: shard)
+  kPush = 0,           ///< IngestPipeline::PushBatch (arg: span length)
+  kPushBackoff,        ///< ring-full backoff inside PushBatch (arg: shard)
+  kRingFull,           ///< instant: TryPushBatch refused (arg: full shard)
   kStallWatchdog,      ///< instant: push stalled >100ms (arg: shard)
   kWorkerBatch,        ///< one worker drain+apply batch (arg: batch size)
   kSketchUpdate,       ///< instant: accepted Insert/Erase (arg: value)

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "durability/faulty_storage.h"
+#include "durability/storage.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
@@ -559,6 +561,63 @@ TEST(PipelineAudit, CloneAuditShadowIsDeterministic) {
   }
   // Same seeds, same stream => the same global sample, run to run.
   EXPECT_EQ(samples[0], samples[1]);
+}
+
+TEST(PipelineAudit, WalReplayRebuildsTheUncrashedShadow) {
+  // An audited, durable pipeline crashes before any checkpoint, so
+  // recovery rebuilds every shard from its WAL tail alone, through the
+  // workers' apply path. Replay plus the deduped re-push from ResumeSeq()
+  // shows each shard's shadow the same values in the same order as an
+  // uninterrupted run, so the merged shadow must be byte-identical.
+  const std::vector<uint64_t> values = UniformValues(20'000, 113);
+  auto options = AuditedPipelineOptions(Algorithm::kRandom, 0.02);
+  options.durability.enabled = true;
+  options.durability.dir = "audit";
+  options.durability.sync_interval = 256;
+  options.durability.checkpoint_interval = uint64_t{1} << 40;  // WAL only
+
+  durability::MemStorage reference_disk;
+  options.durability.storage = &reference_disk;
+  auto reference = ingest::IngestPipeline::Create(options);
+  ASSERT_NE(reference, nullptr);
+  for (uint64_t v : values) reference->Push(Update{v, +1});
+  reference->Flush();
+  const auto reference_shadow = reference->CloneAuditShadow();
+  ASSERT_NE(reference_shadow, nullptr);
+  reference->Stop();
+
+  durability::MemStorage disk;  // what survives the crash
+  {
+    durability::FaultyStorage faulty(
+        &disk, durability::StorageFaultSpec::Perfect(), /*seed=*/7);
+    // Storage dies just before the 6th fsync, well inside the stream.
+    faulty.ArmCrashAtOp(durability::StorageOp::kSync, 6);
+    options.durability.storage = &faulty;
+    auto crashed = ingest::IngestPipeline::Create(options);
+    ASSERT_NE(crashed, nullptr);
+    for (uint64_t v : values) crashed->Push(Update{v, +1});
+    crashed->Flush();
+    EXPECT_TRUE(faulty.crashed());
+    EXPECT_EQ(crashed->stats().checkpoints.load(), 0u);
+    faulty.CrashNow();
+  }  // the final checkpoint of Stop() hits dead storage
+
+  options.durability.storage = &disk;
+  auto recovered = ingest::IngestPipeline::Create(options);
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->recovery().checkpoint_id, 0u);
+  EXPECT_GT(recovered->recovery().replayed_updates, 0u);
+  ASSERT_LE(recovered->ResumeSeq(), values.size()) << "nothing to re-push";
+  for (uint64_t seq = recovered->ResumeSeq(); seq <= values.size(); ++seq) {
+    recovered->Push(Update{values[seq - 1], +1});
+  }
+  recovered->Flush();
+  const auto shadow = recovered->CloneAuditShadow();
+  ASSERT_NE(shadow, nullptr);
+  EXPECT_EQ(shadow->stream_n(), values.size());
+  // Compared as a bool: a failing EXPECT_EQ would dump two binary frames.
+  EXPECT_TRUE(shadow->Snapshot() == reference_shadow->Snapshot())
+      << "the recovered shadow differs from the uncrashed one";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests for the parallel ingest subsystem (src/ingest/): the SPSC ring,
-// the shard router, the RCU query view, and the sharded pipeline end to
-// end. The cross-thread tests double as the ThreadSanitizer workload for
-// the -DSTREAMQ_SANITIZE=thread configuration.
+// the RCU query view, and the sharded pipeline end to end, including its
+// producer contract (round-robin routing, accepted prefixes). The
+// cross-thread tests double as the ThreadSanitizer workload for the
+// -DSTREAMQ_SANITIZE=thread configuration.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +11,14 @@
 #include <cstdint>
 #include <string>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "durability/storage.h"
 #include "exact/exact_oracle.h"
 #include "ingest/ingest_pipeline.h"
 #include "ingest/query_view.h"
-#include "ingest/shard_router.h"
 #include "ingest/spsc_ring.h"
 #include "obs/metrics.h"
 #include "quantile/factory.h"
@@ -28,6 +30,14 @@ namespace {
 
 // ---------- SPSC ring ----------
 
+/// One-element push through the ring's producer API: false when full.
+template <typename T>
+bool PushOne(SpscRing<T>& ring, T value) {
+  if (ring.FreeSlots(1) == 0) return false;
+  ring.Push(1, [value](size_t) { return value; });
+  return true;
+}
+
 TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
   EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
@@ -38,8 +48,8 @@ TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(SpscRingTest, FifoOrderSingleThread) {
   SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99)) << "full ring must refuse";
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(PushOne(ring, i));
+  EXPECT_FALSE(PushOne(ring, 99)) << "full ring must refuse";
   int out[16];
   EXPECT_EQ(ring.PopBatch(out, 3), 3u);
   EXPECT_EQ(out[0], 0);
@@ -47,7 +57,7 @@ TEST(SpscRingTest, FifoOrderSingleThread) {
   // Space freed: pushes succeed again, order preserved across wraparound.
   // The first pop drains up to the consumer's cached tail (elements 3..7);
   // the next one re-reads the producer index and finds the late push.
-  EXPECT_TRUE(ring.TryPush(8));
+  EXPECT_TRUE(PushOne(ring, 8));
   EXPECT_EQ(ring.PopBatch(out, 16), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], 3 + i);
   EXPECT_EQ(ring.PopBatch(out, 16), 1u);
@@ -55,10 +65,33 @@ TEST(SpscRingTest, FifoOrderSingleThread) {
   EXPECT_EQ(ring.PopBatch(out, 16), 0u) << "empty ring pops nothing";
 }
 
+TEST(SpscRingTest, FreeSlotsReloadsOnlyWhenTheCachedHeadIsShort) {
+  SpscRing<int> ring(8);
+  EXPECT_EQ(ring.FreeSlots(8), 8u);
+  ring.Push(5, [](size_t i) { return static_cast<int>(10 * i); });
+  EXPECT_EQ(ring.FreeSlots(1), 3u);
+  int out[8];
+  ASSERT_EQ(ring.PopBatch(out, 4), 4u);
+  // The cached head still shows 3 free slots, enough for 3: no reload, so
+  // the answer is a stale but safe lower bound.
+  EXPECT_EQ(ring.FreeSlots(3), 3u);
+  // Asking for more than the cached copy shows reloads the consumer index.
+  EXPECT_EQ(ring.FreeSlots(4), 7u);
+  // One multi-slot push fills them all, wrapping the array.
+  ring.Push(7, [](size_t i) { return static_cast<int>(100 + i); });
+  EXPECT_EQ(ring.FreeSlots(1), 0u);
+  ASSERT_EQ(ring.PopBatch(out, 8), 1u);  // up to the consumer's cached tail
+  EXPECT_EQ(out[0], 40);
+  ASSERT_EQ(ring.PopBatch(out, 8), 7u);
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(out[i], 100 + i);
+  EXPECT_EQ(ring.FreeSlots(8), 8u);
+}
+
 TEST(SpscRingTest, SizeApproxTracksDepth) {
   SpscRing<int> ring(16);
   EXPECT_EQ(ring.SizeApprox(), 0u);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.TryPush(i));
+  ASSERT_EQ(ring.FreeSlots(5), 16u);
+  ring.Push(5, [](size_t i) { return static_cast<int>(i); });
   EXPECT_EQ(ring.SizeApprox(), 5u);
   int out[4];
   ASSERT_EQ(ring.PopBatch(out, 4), 4u);
@@ -68,6 +101,7 @@ TEST(SpscRingTest, SizeApproxTracksDepth) {
 TEST(SpscRingTest, CrossThreadTransferPreservesEveryElement) {
   // One producer, one consumer, a ring small enough to wrap thousands of
   // times: order and completeness must survive, and TSan must see no race.
+  // The producer pushes runs of 1..7 elements, each sized from FreeSlots.
   constexpr uint64_t kCount = 200'000;
   SpscRing<uint64_t> ring(64);
   std::thread consumer([&ring] {
@@ -82,39 +116,19 @@ TEST(SpscRingTest, CrossThreadTransferPreservesEveryElement) {
       if (n == 0) std::this_thread::yield();
     }
   });
-  for (uint64_t i = 0; i < kCount; ++i) {
-    while (!ring.TryPush(i)) std::this_thread::yield();
+  uint64_t next = 0;
+  while (next < kCount) {
+    const size_t want = std::min<size_t>(1 + next % 7, kCount - next);
+    const size_t n = std::min(want, ring.FreeSlots(want));
+    if (n == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    ring.Push(n, [next](size_t i) { return next + i; });
+    next += n;
   }
   consumer.join();
   EXPECT_EQ(ring.SizeApprox(), 0u);
-}
-
-// ---------- shard router ----------
-
-TEST(ShardRouterTest, RoundRobinCyclesDeterministically) {
-  ShardRouter router(ShardingPolicy::kRoundRobin, 3);
-  for (uint64_t seq = 1; seq < 10; ++seq) {
-    EXPECT_EQ(router.Route(seq, uint64_t{12345}),
-              static_cast<int>(seq % 3));
-    // Stateless: routing the same seq again gives the same shard (the
-    // determinism durable replay relies on).
-    EXPECT_EQ(router.Route(seq, uint64_t{12345}),
-              static_cast<int>(seq % 3));
-  }
-}
-
-TEST(ShardRouterTest, HashIsStableInRangeAndSpreads) {
-  ShardRouter router(ShardingPolicy::kHash, 4);
-  std::vector<int> counts(4, 0);
-  for (uint64_t v = 0; v < 4000; ++v) {
-    const int s = router.Route(v + 1, v);
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 4);
-    EXPECT_EQ(router.Route(v + 999, v), s)
-        << "hash routing must depend on the value only";
-    ++counts[s];
-  }
-  for (int c : counts) EXPECT_GT(c, 500) << "grossly unbalanced hash";
 }
 
 // ---------- query view ----------
@@ -227,7 +241,6 @@ TEST(IngestPipelineTest, TurnstileWorkloadWithRoundRobinSharding) {
   IngestOptions options;
   options.sketch = PipelineConfig(Algorithm::kDcs, eps);
   options.shards = 2;
-  options.sharding = ShardingPolicy::kRoundRobin;
   auto pipeline = IngestPipeline::Create(options);
   ASSERT_NE(pipeline, nullptr);
 
@@ -246,22 +259,90 @@ TEST(IngestPipelineTest, TurnstileWorkloadWithRoundRobinSharding) {
   EXPECT_LE(max_error, 3.0 * eps);
 }
 
-TEST(IngestPipelineTest, HashShardingKeepsValueOnOneShard) {
+TEST(IngestPipelineTest, RoundRobinRoutesSeqModShards) {
+  // Every entry point routes the update with seq s to shard s mod N, so
+  // the per-shard producer counts depend only on how many updates were
+  // pushed, not on how the stream was split into calls.
   IngestOptions options;
   options.sketch = PipelineConfig(Algorithm::kRandom, 0.05);
-  options.shards = 4;
-  options.sharding = ShardingPolicy::kHash;
+  const std::vector<Update> five(5, Update{7, +1});
+
+  options.shards = 2;
+  auto two = IngestPipeline::Create(options);
+  ASSERT_NE(two, nullptr);
+  two->Push(Update{1, +1});  // seq 1 -> shard 1
+  two->PushBatch(five);      // seqs 2..6 -> 0, 1, 0, 1, 0
+  EXPECT_EQ(two->shard_stats(0).pushed.load(), 3u);
+  EXPECT_EQ(two->shard_stats(1).pushed.load(), 3u);
+
+  options.shards = 3;
+  auto three = IngestPipeline::Create(options);
+  ASSERT_NE(three, nullptr);
+  EXPECT_TRUE(three->TryPush(Update{1, +1}));    // seq 1 -> shard 1
+  EXPECT_EQ(three->TryPushBatch(five), 5u);       // seqs 2..6
+  three->PushBatch(std::span(five).first(4));     // seqs 7..10
+  EXPECT_EQ(three->shard_stats(0).pushed.load(), 3u);  // 3, 6, 9
+  EXPECT_EQ(three->shard_stats(1).pushed.load(), 4u);  // 1, 4, 7, 10
+  EXPECT_EQ(three->shard_stats(2).pushed.load(), 3u);  // 2, 5, 8
+  EXPECT_EQ(three->LastPushedSeq(), 10u);
+  three->Flush();
+  EXPECT_EQ(three->ProcessedCount(), 10u);
+}
+
+TEST(IngestPipelineTest, TryPushBatchAcceptsPrefixesUntilEverythingIsIn) {
+  // Rings far smaller than the offered spans: each call accepts a prefix,
+  // the caller re-offers the rejected suffix, and the accepted seqs stay
+  // contiguous (LastPushedSeq is the running total after every call).
+  // The result must be the stream item-wise pushes build, fully durable.
+  const std::vector<uint64_t> data = PipelineData(5000, 21);
+  std::vector<Update> updates;
+  for (uint64_t v : data) updates.push_back(Update{v, +1});
+
+  durability::MemStorage storage;
+  IngestOptions options;
+  options.sketch = PipelineConfig(Algorithm::kRandom, 0.05);
+  options.shards = 3;
+  options.ring_capacity = 16;
+  options.batch_size = 8;
+  options.durability.enabled = true;
+  options.durability.storage = &storage;
+  options.durability.dir = "prefix";
   auto pipeline = IngestPipeline::Create(options);
   ASSERT_NE(pipeline, nullptr);
-  // One hot value: all its updates must land on a single shard.
-  for (int i = 0; i < 10'000; ++i) pipeline->Push(Update{42, +1});
-  pipeline->Flush();
-  int shards_with_data = 0;
-  for (int s = 0; s < pipeline->shard_count(); ++s) {
-    if (pipeline->shard_stats(s).pushed.load() > 0) ++shards_with_data;
+
+  size_t accepted = 0;
+  uint64_t refused_calls = 0;
+  while (accepted < updates.size()) {
+    const std::span<const Update> rest(updates.data() + accepted,
+                                       updates.size() - accepted);
+    const size_t taken = pipeline->TryPushBatch(rest);
+    ASSERT_LE(taken, 3u * 16u) << "accepted more than the rings hold";
+    accepted += taken;
+    ASSERT_EQ(pipeline->LastPushedSeq(), accepted);
+    if (taken < rest.size()) {
+      ++refused_calls;
+      std::this_thread::yield();
+    }
   }
-  EXPECT_EQ(shards_with_data, 1);
-  EXPECT_EQ(pipeline->ProcessedCount(), 10'000u);
+  EXPECT_GT(refused_calls, 0u) << "rings never filled; test is vacuous";
+  uint64_t stalls = 0;
+  for (int s = 0; s < pipeline->shard_count(); ++s) {
+    stalls += pipeline->shard_stats(s).ring_full_stalls.load();
+  }
+  EXPECT_EQ(stalls, refused_calls) << "one stall tick per refused call";
+
+  pipeline->Flush();
+  EXPECT_EQ(pipeline->ProcessedCount(), updates.size());
+  EXPECT_EQ(pipeline->DurableSeq(), updates.size());
+
+  IngestOptions plain = options;
+  plain.durability = {};
+  auto reference = IngestPipeline::Create(plain);
+  ASSERT_NE(reference, nullptr);
+  for (const Update& u : updates) reference->Push(u);
+  reference->Flush();
+  const std::vector<double> phis = {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99};
+  EXPECT_EQ(pipeline->QueryMany(phis), reference->QueryMany(phis));
 }
 
 TEST(IngestPipelineTest, QueriesNeverBlockIngestion) {

@@ -577,36 +577,78 @@ TEST_F(NetLoopbackTest, RequestTruncationEveryLength) {
 // ---------------------------------------------------------------------------
 
 TEST_F(NetLoopbackTest, RingFullBackpressureParksAndCompletes) {
-  ServerOptions options;
-  options.ring_capacity = 256;  // tiny rings: a big batch cannot fit at once
-  options.default_shards = 1;
-  StartServer(options);
-  auto client = MakeClient();
-  ASSERT_TRUE(client->Create("bp", CreateParams{}).ok());
+  // A batch far larger than the rings parks; single INSERTs pipelined
+  // behind it park the same way (as one-update batches carrying their
+  // delta). With 2 and 3 shards every accepted prefix is a set of strided
+  // per-shard runs. Every response must come back in request order with
+  // its value, and nothing may be lost or pushed twice. The batch is a
+  // multiple of 256 * shards values, so its last accepted chunk tends to
+  // fill every ring exactly and the first INSERT behind it to park (not
+  // asserted: the workers may drain a slot first).
+  for (const int shards : {1, 2, 3}) {
+    SCOPED_TRACE(shards);
+    ServerOptions options;
+    options.ring_capacity = 256;  // tiny rings: a big batch cannot fit
+    options.default_shards = shards;
+    StartServer(options);
+    auto client = MakeClient();
+    ASSERT_TRUE(client->Create("bp", CreateParams{}).ok());
 
-  std::vector<uint64_t> values;
-  for (uint64_t v = 0; v < 100000; ++v) values.push_back(v % 1000);
-  NetResponse resp = client->InsertBatch("bp", values);
-  ASSERT_TRUE(resp.ok()) << resp.message;
-  EXPECT_EQ(resp.value, values.size());
+    std::vector<uint64_t> values;
+    for (uint64_t v = 0; v < 98'304; ++v) values.push_back(v % 1000);
+    constexpr int kInserts = 40;
+    std::vector<uint64_t> ids;
+    std::vector<uint64_t> want_values;
+    uint64_t want_count = 0;
+    for (int round = 0; round < 2; ++round) {
+      NetRequest batch;
+      batch.op = NetOp::kBatchInsert;
+      batch.stream = "bp";
+      batch.values = values;
+      ids.push_back(client->Send(std::move(batch)));
+      want_values.push_back(values.size());
+      want_count += values.size();
+      for (int i = 0; i < kInserts; ++i) {
+        const int32_t delta = 1 + i % 3;
+        NetRequest insert = InsertRequest("bp", 500 + i, 0);
+        insert.delta = delta;
+        ids.push_back(client->Send(std::move(insert)));
+        want_values.push_back(1);
+        want_count += static_cast<uint64_t>(delta);
+      }
+    }
+    for (const uint64_t id : ids) ASSERT_NE(id, 0u) << client->error();
+    std::vector<NetResponse> responses;
+    ASSERT_TRUE(client->DrainAll(&responses)) << client->error();
+    ASSERT_EQ(responses.size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(responses[i].id, ids[i]) << "response " << i << " out of order";
+      ASSERT_TRUE(responses[i].ok()) << responses[i].message;
+      EXPECT_EQ(responses[i].value, want_values[i]) << "response " << i;
+    }
 
-  resp = client->Flush("bp");
-  ASSERT_TRUE(resp.ok());
-  resp = client->Stats("bp");
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.stats.pushed, values.size());
-  EXPECT_EQ(resp.stats.processed, values.size());
+    NetResponse resp = client->Flush("bp");
+    ASSERT_TRUE(resp.ok());
+    resp = client->Stats("bp");
+    ASSERT_TRUE(resp.ok());
+    const uint64_t updates = 2 * (values.size() + kInserts);
+    EXPECT_EQ(resp.stats.pushed, updates);
+    EXPECT_EQ(resp.stats.processed, updates);
+    EXPECT_EQ(resp.stats.count, want_count) << "an INSERT lost its delta";
 
-  // The park is observable: a 100k batch through 256-slot rings cannot
-  // have been accepted in one go.
-  std::string metrics;
-  {
-    std::lock_guard<std::mutex> lock(server_mutex_);
-    metrics = server_->MetricsText();
+    // The park is observable: a 98k batch through 256-slot rings cannot
+    // have been accepted in one go.
+    std::string metrics;
+    {
+      std::lock_guard<std::mutex> lock(server_mutex_);
+      metrics = server_->MetricsText();
+    }
+    EXPECT_NE(metrics.find("streamq_net_parks_total"), std::string::npos);
+    EXPECT_EQ(metrics.find("streamq_net_parks_total 0\n"), std::string::npos)
+        << "expected at least one park";
+    client.reset();
+    StopServer();
   }
-  EXPECT_NE(metrics.find("streamq_net_parks_total"), std::string::npos);
-  EXPECT_EQ(metrics.find("streamq_net_parks_total 0\n"), std::string::npos)
-      << "expected at least one park";
 }
 
 TEST_F(NetLoopbackTest, WriteQueueBackpressureKeepsOrder) {
