@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -88,6 +89,67 @@ void BM_Query(benchmark::State& state) {
   state.SetLabel(AlgorithmName(algorithm));
 }
 
+void BM_Rank(benchmark::State& state) {
+  const auto algorithm = static_cast<Algorithm>(state.range(0));
+  const double eps = 1.0 / static_cast<double>(state.range(1));
+  const auto& data = Data();
+  auto sketch = MakeSketch(Config(algorithm, eps));
+  for (uint64_t v : data) sketch->Insert(v);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sketch->EstimateRank(data[i]));
+    if (++i == data.size()) i = 0;
+  }
+  state.SetLabel(AlgorithmName(algorithm));
+}
+
+// Two shard sketches of kShardValues values each, built once per algorithm
+// and process: what IngestPipeline's publish merges after a 2-shard
+// pipeline has taken 2 * kShardValues values.
+constexpr size_t kShardValues = 5'000'000;
+
+const std::vector<std::unique_ptr<QuantileSketch>>& Shards(Algorithm algorithm,
+                                                           double eps) {
+  static std::map<Algorithm, std::vector<std::unique_ptr<QuantileSketch>>>
+      cache;
+  auto& shards = cache[algorithm];
+  if (shards.empty()) {
+    const auto& data = Data();
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      SketchConfig config = Config(algorithm, eps);
+      config.seed = seed;
+      auto sketch = MakeSketch(config);
+      // Each shard cycles through the data from its own offset.
+      size_t off = seed * data.size() / 3;
+      for (size_t done = 0; done < kShardValues;) {
+        const size_t len =
+            std::min({size_t{4096}, data.size() - off, kShardValues - done});
+        sketch->UpdateBatch(std::span<const uint64_t>(data.data() + off, len));
+        done += len;
+        off += len;
+        if (off == data.size()) off = 0;
+      }
+      shards.push_back(std::move(sketch));
+    }
+  }
+  return shards;
+}
+
+// One view publish: a fresh sketch merging the two shard sketches, as
+// IngestPipeline::PublishMergedView does with the shards' snapshot clones.
+void BM_PublishMerge(benchmark::State& state) {
+  const auto algorithm = static_cast<Algorithm>(state.range(0));
+  const double eps = 1.0 / static_cast<double>(state.range(1));
+  const auto& shards = Shards(algorithm, eps);
+  for (auto _ : state) {
+    auto merged = MakeSketch(Config(algorithm, eps));
+    for (const auto& shard : shards) merged->Merge(*shard);
+    benchmark::DoNotOptimize(merged.get());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(AlgorithmName(algorithm));
+}
+
 void RegisterAll() {
   for (Algorithm a :
        {Algorithm::kGkTheory, Algorithm::kGkAdaptive, Algorithm::kGkArray,
@@ -112,6 +174,19 @@ void RegisterAll() {
     benchmark::RegisterBenchmark(
         ("BM_Query/" + AlgorithmName(a)).c_str(), BM_Query)
         ->Args({static_cast<int>(a), 1000});
+  }
+  // The layers a server's reads and view publishes run through, for the
+  // algorithms the ingest pipeline serves.
+  for (Algorithm a : {Algorithm::kRandom, Algorithm::kMrl99,
+                      Algorithm::kFastQDigest, Algorithm::kDcm,
+                      Algorithm::kDcs}) {
+    benchmark::RegisterBenchmark(("BM_Rank/" + AlgorithmName(a)).c_str(),
+                                 BM_Rank)
+        ->Args({static_cast<int>(a), 1000});
+    benchmark::RegisterBenchmark(
+        ("BM_PublishMerge/" + AlgorithmName(a)).c_str(), BM_PublishMerge)
+        ->Args({static_cast<int>(a), 1000})
+        ->Unit(benchmark::kMicrosecond);
   }
 }
 

@@ -19,15 +19,16 @@
 
 namespace streamq::ingest {
 
-/// Per-shard statistics. Owned by the shard struct, one cache line each
-/// (the enclosing Shard is alignas(64)) so workers never false-share.
+/// Per-shard statistics, in two cache-line groups: the producer thread
+/// writes the first, the shard's worker (and the checkpoint writer) the
+/// second, so a push and a worker batch never contend for one line.
 struct ShardStats {
-  /// Updates routed into this shard's ring (producer side).
-  std::atomic<uint64_t> pushed{0};
-  /// Updates applied to this shard's sketch (worker side).
-  std::atomic<uint64_t> processed{0};
-  /// Updates the shard sketch refused (out-of-universe, unsupported erase).
-  std::atomic<uint64_t> rejected{0};
+  // --- producer side ----------------------------------------------------
+  /// Updates routed into this shard's ring.
+  alignas(64) std::atomic<uint64_t> pushed{0};
+  /// Highest seq the producer routed to this shard (the ack accounting
+  /// of DurableSeq).
+  std::atomic<uint64_t> last_seq{0};
   /// Ring-full events: every TryPushBatch that this shard's full ring cut
   /// short, and each PushBatch stall episode that began at this shard
   /// (one count per episode, however long the backoff runs).
@@ -36,18 +37,21 @@ struct ShardStats {
   /// stall while this shard's ring was the one blocking it; a nonzero rate
   /// means this shard's consumer is stuck, not just momentarily behind.
   std::atomic<uint64_t> stall_watchdog_trips{0};
+  // --- worker side ------------------------------------------------------
+  /// Updates applied to this shard's sketch.
+  alignas(64) std::atomic<uint64_t> processed{0};
+  /// Updates the shard sketch refused (out-of-universe, unsupported erase).
+  std::atomic<uint64_t> rejected{0};
   /// Shard snapshots cloned and installed by the worker.
   std::atomic<uint64_t> snapshots{0};
   /// Processed count captured by the newest installed shard snapshot.
   std::atomic<uint64_t> snapshot_epoch{0};
   /// Maximum MemoryBytes() the shard sketch reached (paper accounting).
   std::atomic<uint64_t> peak_memory_bytes{0};
-  // --- durable mode only (stay 0 otherwise) ---------------------------
+  // Durable mode only (stay 0 otherwise):
   /// Re-pushed updates skipped because the recovered state already covers
   /// their seq (the replay/restart dedup of DESIGN.md section 11).
   std::atomic<uint64_t> deduped{0};
-  /// Highest seq the producer routed to this shard (ack accounting).
-  std::atomic<uint64_t> last_seq{0};
   /// Highest applied seq covered by a published checkpoint; together with
   /// the WAL's durable seq this forms the shard's durability floor.
   std::atomic<uint64_t> checkpoint_seq{0};

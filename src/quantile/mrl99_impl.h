@@ -24,6 +24,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -132,26 +133,26 @@ class Mrl99Impl {
   }
 
   T Query(double phi) const {
-    WeightedSampleView<T, Less> view(Snapshot());
-    if (view.Empty()) return T{};  // empty summary: nothing to report
-    return view.Quantile(phi * static_cast<double>(n_));
+    WeightedRunsView<T, Less> runs = Runs();
+    if (runs.Empty()) return T{};  // empty summary: nothing to report
+    runs.SortRuns();
+    return runs.Quantile(phi * static_cast<double>(n_));
   }
 
   std::vector<T> QueryMany(const std::vector<double>& phis) const {
-    WeightedSampleView<T, Less> view(Snapshot());
+    WeightedRunsView<T, Less> runs = Runs();
     std::vector<T> out;
-    if (view.Empty()) {
+    if (runs.Empty()) {
       out.assign(phis.size(), T{});
       return out;
     }
+    runs.SortRuns();
     out.reserve(phis.size());
-    for (double phi : phis) out.push_back(view.Quantile(phi * static_cast<double>(n_)));
+    for (double phi : phis) out.push_back(runs.Quantile(phi * static_cast<double>(n_)));
     return out;
   }
 
-  int64_t EstimateRank(const T& v) const {
-    return WeightedSampleView<T, Less>(Snapshot()).EstimateRank(v);
-  }
+  int64_t EstimateRank(const T& v) const { return Runs().EstimateRank(v); }
 
   uint64_t Count() const { return n_; }
 
@@ -216,6 +217,10 @@ class Mrl99Impl {
       }
       b.level = static_cast<int>(level);
       b.full = full != 0;
+      // Merge and the queries read every full buffer as a sorted run.
+      if (b.full && !std::is_sorted(b.data.begin(), b.data.end(), Less())) {
+        return false;
+      }
     }
     return fill_ < static_cast<int>(buffers_.size());
   }
@@ -231,9 +236,10 @@ class Mrl99Impl {
   /// at most its weight = O(eps n), as in RandomSketchImpl::Merge.
   void Merge(const Mrl99Impl& other) {
     assert(other.k_ == k_ && other.h_ == h_);
-    // Pool every non-empty buffer from both summaries. Partially filled
-    // buffers are declared full at their current size; their weight stays
-    // the per-element block weight of their level.
+    // Pool every non-empty buffer from both summaries. The partially
+    // filled buffer is sorted, like every full buffer already is, and
+    // declared full at its current size; its weight stays the per-element
+    // block weight of its level.
     std::vector<Buffer> pool;
     for (Buffer& b : buffers_) {
       if (!b.data.empty()) pool.push_back(std::move(b));
@@ -246,7 +252,7 @@ class Mrl99Impl {
     fill_ = -1;
     block_seen_ = 0;
     for (Buffer& b : pool) {
-      std::sort(b.data.begin(), b.data.end(), Less());
+      if (!b.full) SortSample<T, Less>(b.data, scratch_pool_);
       b.full = true;
     }
     // Collapse lowest-level groups until an empty slot remains for filling.
@@ -295,24 +301,12 @@ class Mrl99Impl {
     return false;
   }
 
-  // Sorts a completed buffer: radix sort for uint64 keys (identical
-  // ascending output, see util/radix_sort.h), comparison sort otherwise.
-  // The COLLAPSE scratch doubles as radix scratch -- it is idle here.
-  void SortBuffer(std::vector<T>& data) {
-    if constexpr (std::is_same_v<T, uint64_t> &&
-                  std::is_same_v<Less, std::less<uint64_t>>) {
-      scratch_pool_.resize(data.size());
-      RadixSortU64(data.data(), data.size(), scratch_pool_.data());
-    } else {
-      std::sort(data.begin(), data.end(), Less());
-    }
-  }
-
   // Fill buffer reached k_ elements: sort it, mark it full, and collapse if
   // every buffer is now occupied. Shared by Insert and both InsertBatch
-  // paths so the three sites cannot drift.
+  // paths so the three sites cannot drift. The COLLAPSE scratch doubles as
+  // radix scratch -- it is idle here.
   void CompleteFill(Buffer& buf) {
-    SortBuffer(buf.data);
+    SortSample<T, Less>(buf.data, scratch_pool_);
     buf.full = true;
     fill_ = -1;
     if (!AnyEmpty()) Collapse();
@@ -507,15 +501,17 @@ class Mrl99Impl {
     CollapseGroup(buffers_, chosen, out_level);
   }
 
-  std::vector<WeightedElement<T>> Snapshot() const {
-    std::vector<WeightedElement<T>> sample;
+  // All stored elements as weighted runs, as in RandomSketchImpl::Runs.
+  WeightedRunsView<T, Less> Runs() const {
+    WeightedRunsView<T, Less> runs;
     for (const Buffer& b : buffers_) {
-      for (const T& v : b.data) sample.push_back({v, b.weight});
+      runs.Add(b.data, b.weight, /*sorted=*/b.full);
     }
     if (fill_ >= 0 && block_seen_ > block_pick_) {
-      sample.push_back({block_choice_, static_cast<int64_t>(block_seen_)});
+      runs.Add(std::span<const T>(&block_choice_, 1),
+               static_cast<int64_t>(block_seen_), /*sorted=*/true);
     }
-    return sample;
+    return runs;
   }
 
   int h_ = 1;

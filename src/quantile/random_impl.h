@@ -24,6 +24,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -31,7 +32,6 @@
 #include "quantile/weighted_sample.h"
 #include "util/bits.h"
 #include "util/memory.h"
-#include "util/radix_sort.h"
 #include "util/random.h"
 #include "util/serde.h"
 #include "util/simd.h"
@@ -139,26 +139,26 @@ class RandomSketchImpl {
   }
 
   T Query(double phi) const {
-    WeightedSampleView<T, Less> view(Snapshot());
-    if (view.Empty()) return T{};  // empty summary: nothing to report
-    return view.Quantile(phi * static_cast<double>(n_));
+    WeightedRunsView<T, Less> runs = Runs();
+    if (runs.Empty()) return T{};  // empty summary: nothing to report
+    runs.SortRuns();
+    return runs.Quantile(phi * static_cast<double>(n_));
   }
 
   std::vector<T> QueryMany(const std::vector<double>& phis) const {
-    WeightedSampleView<T, Less> view(Snapshot());
+    WeightedRunsView<T, Less> runs = Runs();
     std::vector<T> out;
-    if (view.Empty()) {
+    if (runs.Empty()) {
       out.assign(phis.size(), T{});
       return out;
     }
+    runs.SortRuns();
     out.reserve(phis.size());
-    for (double phi : phis) out.push_back(view.Quantile(phi * static_cast<double>(n_)));
+    for (double phi : phis) out.push_back(runs.Quantile(phi * static_cast<double>(n_)));
     return out;
   }
 
-  int64_t EstimateRank(const T& v) const {
-    return WeightedSampleView<T, Less>(Snapshot()).EstimateRank(v);
-  }
+  int64_t EstimateRank(const T& v) const { return Runs().EstimateRank(v); }
 
   uint64_t Count() const { return n_; }
 
@@ -219,6 +219,10 @@ class RandomSketchImpl {
       }
       b.level = static_cast<int>(level);
       b.full = full != 0;
+      // Merge and the queries read every full buffer as a sorted run.
+      if (b.full && !std::is_sorted(b.data.begin(), b.data.end(), Less())) {
+        return false;
+      }
     }
     return fill_ < static_cast<int>(buffers_.size());
   }
@@ -245,10 +249,11 @@ class RandomSketchImpl {
     fill_ = -1;
     block_seen_ = 0;
 
-    // Partially filled buffers break the full-merge flow; top them up by
-    // declaring them full at their current size (they are sorted on demand).
+    // The partially filled buffer breaks the full-merge flow; top it up by
+    // declaring it full at its current size, sorted like every full buffer
+    // already is.
     for (Buffer& b : pool) {
-      SortBuffer(b.data);
+      if (!b.full) SortSample<T, Less>(b.data, scratch_merge_);
       b.full = true;
     }
     // Reduce to at most b-1 buffers so an empty slot remains for filling.
@@ -301,25 +306,13 @@ class RandomSketchImpl {
     return false;
   }
 
-  // Sorts a completed buffer and returns it to the merge machinery. The
-  // fill-time sort dominates the batched ingest profile, so uint64 keys use
-  // the radix sort (util/radix_sort.h; identical ascending output); the
-  // merge scratch doubles as radix scratch -- it is idle here.
-  void SortBuffer(std::vector<T>& data) {
-    if constexpr (std::is_same_v<T, uint64_t> &&
-                  std::is_same_v<Less, std::less<uint64_t>>) {
-      scratch_merge_.resize(data.size());
-      RadixSortU64(data.data(), data.size(), scratch_merge_.data());
-    } else {
-      std::sort(data.begin(), data.end(), Less());
-    }
-  }
-
   // Fill buffer reached s_ elements: sort it, mark it full, and merge if
   // every buffer is now occupied. Shared by Insert and both InsertBatch
-  // paths so the three sites cannot drift.
+  // paths so the three sites cannot drift. The fill-time sort dominates the
+  // batched ingest profile, hence the radix sort for uint64 keys; the merge
+  // scratch doubles as radix scratch -- it is idle here.
   void CompleteFill(Buffer& buf) {
-    SortBuffer(buf.data);
+    SortSample<T, Less>(buf.data, scratch_merge_);
     buf.full = true;
     fill_ = -1;
     if (!AnyEmpty()) MergeOnce();
@@ -442,21 +435,22 @@ class RandomSketchImpl {
     a.level = 0;
   }
 
-  // Weighted snapshot of all stored elements (full buffers, the partially
-  // filled buffer, and the in-progress block sample).
-  std::vector<WeightedElement<T>> Snapshot() const {
-    std::vector<WeightedElement<T>> sample;
-    for (size_t i = 0; i < buffers_.size(); ++i) {
-      const Buffer& b = buffers_[i];
+  // All stored elements as weighted runs: every buffer as it stands (the
+  // full ones sorted, the partially filled one not), and the in-progress
+  // block sample.
+  WeightedRunsView<T, Less> Runs() const {
+    WeightedRunsView<T, Less> runs;
+    for (const Buffer& b : buffers_) {
       const int64_t w = int64_t{1} << b.level;
-      for (const T& v : b.data) sample.push_back({v, w});
+      runs.Add(b.data, w, /*sorted=*/b.full);
     }
     if (fill_ >= 0 && block_seen_ > block_pick_) {
       // The in-progress block has committed to its sample; it stands for
       // the block_seen_ elements consumed so far.
-      sample.push_back({block_choice_, static_cast<int64_t>(block_seen_)});
+      runs.Add(std::span<const T>(&block_choice_, 1),
+               static_cast<int64_t>(block_seen_), /*sorted=*/true);
     }
-    return sample;
+    return runs;
   }
 
   int h_ = 1;

@@ -10,14 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "distributed/ack.h"
 #include "quantile/cash_register.h"
 #include "quantile/dyadic_quantile.h"
 #include "quantile/fast_qdigest.h"
+#include "sample_summary_codec.h"
 #include "util/serde.h"
 
 namespace streamq {
@@ -120,6 +123,38 @@ TEST(CorruptionTest, TruncationsAndExtensionsAreRejected) {
         << c.name << ": one trailing byte";
     EXPECT_FALSE(c.loads(c.bytes + c.bytes)) << c.name << ": doubled";
   }
+}
+
+// Merge and the queries of Random and MRL99 read every full buffer as a
+// sorted run, so a snapshot with a full buffer out of order must not load,
+// even when its CRC is right: swap two elements, re-frame, expect nullptr.
+template <typename Sketch>
+void ExpectUnsortedFullBufferRejected(SnapshotType type, bool weighted) {
+  Sketch sketch(0.1, 7);
+  for (uint64_t v = 0; v < 200; ++v) sketch.Insert(v * 7 % 1000);
+  std::string payload;
+  ASSERT_TRUE(UnframeSnapshot(sketch.Serialize(), type, &payload));
+  SampleSummaryState<uint64_t> state;
+  ASSERT_TRUE(DecodeSampleSummary(payload, weighted, &state));
+  // The forging path itself yields a loadable snapshot.
+  ASSERT_EQ(EncodeSampleSummary(state), payload);
+  ASSERT_NE(Sketch::Deserialize(FrameSnapshot(type, payload)), nullptr);
+
+  const auto full =
+      std::find_if(state.buffers.begin(), state.buffers.end(), [](auto& b) {
+        return b.full != 0 && b.data.front() != b.data.back();
+      });
+  ASSERT_NE(full, state.buffers.end());
+  std::swap(full->data.front(), full->data.back());
+  EXPECT_EQ(Sketch::Deserialize(FrameSnapshot(type, EncodeSampleSummary(state))),
+            nullptr);
+}
+
+TEST(CorruptionTest, UnsortedFullBufferIsRejected) {
+  ExpectUnsortedFullBufferRejected<RandomSketch>(SnapshotType::kRandom,
+                                                 /*weighted=*/false);
+  ExpectUnsortedFullBufferRejected<Mrl99>(SnapshotType::kMrl99,
+                                          /*weighted=*/true);
 }
 
 TEST(CorruptionTest, EveryFlippedAckByteIsRejected) {

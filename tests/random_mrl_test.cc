@@ -5,24 +5,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <span>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "exact/error_metrics.h"
 #include "exact/exact_oracle.h"
 #include "quantile/cash_register.h"
 #include "quantile/weighted_sample.h"
+#include "sample_summary_codec.h"
 #include "stream/generators.h"
+#include "util/crc32c.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace streamq {
 namespace {
 
-TEST(WeightedSampleTest, RankAndQuantileBasics) {
-  std::vector<WeightedElement<uint64_t>> sample = {
-      {30, 2}, {10, 1}, {20, 4}, {40, 3}};
-  WeightedSampleView<uint64_t> view(std::move(sample));
-  EXPECT_EQ(view.TotalWeight(), 10);
+// Both views must give these answers: the sorted sample view, and the
+// sorted-runs view over the same sample split into runs.
+template <typename View>
+void ExpectBasicAnswers(const View& view) {
   EXPECT_EQ(view.EstimateRank(10), 0);
   EXPECT_EQ(view.EstimateRank(15), 1);
   EXPECT_EQ(view.EstimateRank(20), 1);
@@ -33,11 +40,36 @@ TEST(WeightedSampleTest, RankAndQuantileBasics) {
   EXPECT_EQ(view.Quantile(9.9), 40u);
 }
 
+TEST(WeightedSampleTest, RankAndQuantileBasics) {
+  std::vector<WeightedElement<uint64_t>> sample = {
+      {30, 2}, {10, 1}, {20, 4}, {40, 3}};
+  WeightedSampleView<uint64_t> view(std::move(sample));
+  EXPECT_EQ(view.TotalWeight(), 10);
+  ExpectBasicAnswers(view);
+
+  const std::vector<uint64_t> ten = {10}, twenty = {20}, thirty = {30},
+                              forty = {40};
+  WeightedRunsView<uint64_t> runs;
+  runs.Add(forty, 3, /*sorted=*/true);
+  runs.Add(thirty, 2, /*sorted=*/false);
+  runs.Add(ten, 1, /*sorted=*/true);
+  runs.Add(twenty, 4, /*sorted=*/true);
+  runs.SortRuns();
+  ExpectBasicAnswers(runs);
+}
+
 TEST(WeightedSampleTest, DuplicatesShareRank) {
   std::vector<WeightedElement<uint64_t>> sample = {{5, 1}, {5, 1}, {5, 1}};
   WeightedSampleView<uint64_t> view(std::move(sample));
   EXPECT_EQ(view.EstimateRank(5), 0);
   EXPECT_EQ(view.EstimateRank(6), 3);
+
+  const std::vector<uint64_t> two = {5, 5}, one = {5};
+  WeightedRunsView<uint64_t> runs;
+  runs.Add(two, 1, /*sorted=*/true);
+  runs.Add(one, 1, /*sorted=*/false);
+  EXPECT_EQ(runs.EstimateRank(5), 0);
+  EXPECT_EQ(runs.EstimateRank(6), 3);
 }
 
 TEST(RandomSketchTest, ParametersFollowEps) {
@@ -263,6 +295,294 @@ TEST(RandomMrlTest, GenericElementType) {
   for (double v : data) impl.Insert(v);
   const double median = impl.Query(0.5);
   EXPECT_NEAR(median, 0.5, 0.03);
+}
+
+// ---------- Sorted-run queries against the sorted-sample reference ----------
+//
+// Random and MRL99 answer from their buffers as sorted runs
+// (WeightedRunsView). The reference is WeightedSampleView over the same
+// weighted sample, unsorted, as decoded from the summary's own snapshot.
+
+// What the differential checks covered, so a test can insist that every
+// kind of summary state was seen.
+struct DiffTally {
+  uint64_t checks = 0;
+  uint64_t mismatches = 0;
+  int empty = 0;         // n = 0
+  int one = 0;           // n = 1
+  int two = 0;           // n = 2
+  int partial = 0;       // a buffer that is not full holds data
+  int block = 0;         // the in-progress sampling block has committed
+  int merged = 0;        // the summary took part in a Merge
+  int deserialized = 0;  // the summary came out of Deserialize
+
+  // Counts one check; true when the caller should report it (the first
+  // few mismatches).
+  bool Mismatch(bool ok) {
+    ++checks;
+    return !ok && ++mismatches <= 5;
+  }
+};
+
+// Rank probes: the type's extremes, and every stored value and its
+// neighbours on both sides (sampled when the summary is large).
+template <typename T>
+std::vector<T> RankProbes(const std::vector<WeightedElement<T>>& sample) {
+  std::vector<T> probes = {std::numeric_limits<T>::lowest(),
+                           std::numeric_limits<T>::max()};
+  const size_t stride = std::max<size_t>(1, sample.size() / 2000);
+  for (size_t i = 0; i < sample.size(); i += stride) {
+    const T v = sample[i].value;
+    probes.push_back(v);
+    if constexpr (std::is_integral_v<T>) {
+      if (v > std::numeric_limits<T>::lowest()) probes.push_back(v - 1);
+      if (v < std::numeric_limits<T>::max()) probes.push_back(v + 1);
+    } else {
+      probes.push_back(std::nextafter(v, -std::numeric_limits<T>::infinity()));
+      probes.push_back(std::nextafter(v, std::numeric_limits<T>::infinity()));
+    }
+  }
+  return probes;
+}
+
+// Checks Query, QueryMany and EstimateRank of `impl` (a RandomSketchImpl or
+// Mrl99Impl; `weighted` selects the MRL99 snapshot layout) against the
+// reference.
+template <typename T, typename Impl>
+void CheckAgainstSampleView(const Impl& impl, bool weighted, bool merged,
+                            bool deserialized, DiffTally* tally) {
+  SerdeWriter w;
+  impl.Serialize(w);
+  SampleSummaryState<T> state;
+  ASSERT_TRUE(DecodeSampleSummary(w.Take(), weighted, &state));
+  const std::vector<WeightedElement<T>> sample = state.WeightedSample();
+  const WeightedSampleView<T> view(sample);
+
+  std::vector<double> phis;
+  for (int i = 0; i <= 200; ++i) phis.push_back(i / 200.0);
+  std::vector<T> want;
+  for (double phi : phis) {
+    want.push_back(view.Empty()
+                       ? T{}
+                       : view.Quantile(phi * static_cast<double>(impl.Count())));
+  }
+  for (size_t i = 0; i < phis.size(); ++i) {
+    if (tally->Mismatch(impl.Query(phis[i]) == want[i])) {
+      ADD_FAILURE() << "Query(" << phis[i] << ") at n=" << impl.Count();
+    }
+  }
+  if (tally->Mismatch(impl.QueryMany(phis) == want)) {
+    ADD_FAILURE() << "QueryMany at n=" << impl.Count();
+  }
+  for (const T& v : RankProbes(sample)) {
+    if (tally->Mismatch(impl.EstimateRank(v) == view.EstimateRank(v))) {
+      ADD_FAILURE() << "EstimateRank(" << v << ") at n=" << impl.Count();
+    }
+  }
+
+  tally->empty += impl.Count() == 0;
+  tally->one += impl.Count() == 1;
+  tally->two += impl.Count() == 2;
+  tally->partial += std::any_of(
+      state.buffers.begin(), state.buffers.end(),
+      [](const auto& b) { return b.full == 0 && !b.data.empty(); });
+  tally->block += state.fill >= 0 && state.block_seen > state.block_pick;
+  tally->merged += merged;
+  tally->deserialized += deserialized;
+}
+
+// RandomSketchImpl<double> behind the part of the RandomSketch API that
+// RunRandomSequences below uses.
+class RandomDoubleSketch {
+ public:
+  RandomDoubleSketch(double eps, uint64_t seed) : impl_(eps, seed) {}
+  void Insert(double v) { impl_.Insert(v); }
+  void UpdateBatch(std::span<const double> values) {
+    impl_.InsertBatch(values.data(), values.size());
+  }
+  void Merge(const RandomDoubleSketch& other) { impl_.Merge(other.impl_); }
+  std::string Serialize() const {
+    SerdeWriter w;
+    impl_.Serialize(w);
+    return w.Take();
+  }
+  static std::unique_ptr<RandomDoubleSketch> Deserialize(
+      const std::string& bytes) {
+    auto sketch = std::make_unique<RandomDoubleSketch>(0.5, 0);
+    SerdeReader r(bytes);
+    if (!sketch->impl_.Deserialize(r) || !r.Done()) return nullptr;
+    return sketch;
+  }
+  RandomSketchImpl<double>& impl() { return impl_; }
+
+ private:
+  RandomSketchImpl<double> impl_;
+};
+
+template <typename Sketch>
+std::unique_ptr<Sketch> CloneOf(const Sketch& sketch) {
+  if constexpr (std::is_base_of_v<QuantileSketch, Sketch>) {
+    return std::unique_ptr<Sketch>(static_cast<Sketch*>(sketch.Clone().release()));
+  } else {
+    return std::make_unique<Sketch>(sketch);
+  }
+}
+
+// range 0 draws from the whole type; a small range makes many duplicates.
+template <typename T>
+T DrawValue(Xoshiro256& rng, uint64_t range) {
+  if constexpr (std::is_same_v<T, double>) {
+    return range == 0 ? rng.NextDouble() : static_cast<double>(rng.Below(range));
+  } else {
+    return range == 0 ? rng.Next() : rng.Below(range);
+  }
+}
+
+// Seeded random sequences of Insert, UpdateBatch, Merge (both directions),
+// Clone and a serde round trip over two summaries. After every step the
+// stepped summary must reload from its own snapshot, and its queries must
+// match the reference.
+template <typename Sketch, typename T>
+void RunRandomSequences(bool weighted, DiffTally* tally) {
+  constexpr uint64_t kSeeds = 12;
+  constexpr int kSteps = 40;
+  constexpr uint64_t kRanges[] = {3, 64, 5000, 0};
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Xoshiro256 rng(seed);
+    const uint64_t range = kRanges[seed % 4];
+    std::unique_ptr<Sketch> s[2] = {std::make_unique<Sketch>(0.05, seed),
+                                    std::make_unique<Sketch>(0.05, seed + 99)};
+    bool merged[2] = {false, false};
+    // n = 0, 1 and 2 first.
+    for (int i = 0; i < 3; ++i) {
+      CheckAgainstSampleView<T>(s[0]->impl(), weighted, false, false, tally);
+      s[0]->Insert(DrawValue<T>(rng, range));
+    }
+    for (int step = 0; step < kSteps; ++step) {
+      const int side = rng.NextBool() ? 1 : 0;
+      bool deserialized = false;
+      switch (rng.Below(6)) {
+        case 0:
+          for (uint64_t k = 1 + rng.Below(3); k > 0; --k) {
+            s[side]->Insert(DrawValue<T>(rng, range));
+          }
+          break;
+        case 1:
+        case 2: {
+          std::vector<T> batch(rng.Below(3000));
+          for (T& v : batch) v = DrawValue<T>(rng, range);
+          s[side]->UpdateBatch(std::span<const T>(batch));
+          break;
+        }
+        case 3:
+          s[side]->Merge(*s[1 - side]);
+          merged[side] = true;
+          break;
+        case 4:
+          s[side] = CloneOf(*s[side]);
+          break;
+        default:
+          s[side] = Sketch::Deserialize(s[side]->Serialize());
+          ASSERT_NE(s[side], nullptr) << "seed " << seed << " step " << step;
+          deserialized = true;
+          break;
+      }
+      ASSERT_NE(Sketch::Deserialize(s[side]->Serialize()), nullptr)
+          << "seed " << seed << " step " << step;
+      CheckAgainstSampleView<T>(s[side]->impl(), weighted, merged[side],
+                                deserialized, tally);
+    }
+  }
+}
+
+void ExpectFullCoverage(const DiffTally& tally) {
+  ::testing::Test::RecordProperty("checks", std::to_string(tally.checks));
+  EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.checks << " checks";
+  EXPECT_GT(tally.empty, 0);
+  EXPECT_GT(tally.one, 0);
+  EXPECT_GT(tally.two, 0);
+  EXPECT_GT(tally.partial, 0);
+  EXPECT_GT(tally.block, 0);
+  EXPECT_GT(tally.merged, 0);
+  EXPECT_GT(tally.deserialized, 0);
+}
+
+TEST(SortedRunQueryTest, RandomMatchesSortedSampleView) {
+  DiffTally tally;
+  RunRandomSequences<RandomSketch, uint64_t>(/*weighted=*/false, &tally);
+  ExpectFullCoverage(tally);
+}
+
+TEST(SortedRunQueryTest, Mrl99MatchesSortedSampleView) {
+  DiffTally tally;
+  RunRandomSequences<Mrl99, uint64_t>(/*weighted=*/true, &tally);
+  ExpectFullCoverage(tally);
+}
+
+TEST(SortedRunQueryTest, GenericRandomMatchesSortedSampleView) {
+  DiffTally tally;
+  RunRandomSequences<RandomDoubleSketch, double>(/*weighted=*/false, &tally);
+  ExpectFullCoverage(tally);
+}
+
+// The serving size: eps = 1e-3 summaries of a few million values, where
+// sampling has reached level > 0, alone and merged.
+TEST(SortedRunQueryTest, ServingSizeSummariesMatchSortedSampleView) {
+  DiffTally tally;
+  DatasetSpec spec;
+  spec.n = 2'000'003;
+  spec.log_universe = 20;
+  spec.seed = 17;
+  const auto data = GenerateDataset(spec);
+  const std::span<const uint64_t> all(data);
+  RandomSketch ra(0.001, 1), rb(0.001, 2);
+  Mrl99 ma(0.001, 1), mb(0.001, 2);
+  ra.UpdateBatch(all);
+  ma.UpdateBatch(all);
+  rb.UpdateBatch(all.first(1'500'007));
+  mb.UpdateBatch(all.first(1'500'007));
+  CheckAgainstSampleView<uint64_t>(ra.impl(), false, false, false, &tally);
+  CheckAgainstSampleView<uint64_t>(ma.impl(), true, false, false, &tally);
+  ASSERT_EQ(ra.Merge(rb), StreamqStatus::kOk);
+  ASSERT_EQ(ma.Merge(mb), StreamqStatus::kOk);
+  CheckAgainstSampleView<uint64_t>(ra.impl(), false, true, false, &tally);
+  CheckAgainstSampleView<uint64_t>(ma.impl(), true, true, false, &tally);
+  ::testing::Test::RecordProperty("checks", std::to_string(tally.checks));
+  EXPECT_EQ(tally.mismatches, 0u) << "of " << tally.checks << " checks";
+}
+
+// ---------- Merge bytes pinned ----------
+//
+// CRC32C of the snapshot of a fixed-seed 4-way merge tree, ((a+b)+(c+d)).
+// The leaves end mid-buffer and mid-block, so the tree merges partially
+// filled buffers and in-progress blocks. The pins were taken before Merge
+// stopped re-sorting full buffers; any change to a merged byte fails here.
+template <typename Sketch>
+uint32_t MergeTreeCrc() {
+  std::vector<std::unique_ptr<Sketch>> leaves;
+  for (int i = 0; i < 4; ++i) {
+    DatasetSpec spec;
+    spec.n = 60'000 + 7'919 * static_cast<uint64_t>(i);
+    spec.log_universe = 24;
+    spec.seed = 40 + static_cast<uint64_t>(i);
+    spec.distribution = i % 2 ? Distribution::kNormal : Distribution::kUniform;
+    auto sketch = std::make_unique<Sketch>(0.01, 90 + static_cast<uint64_t>(i));
+    sketch->UpdateBatch(GenerateDataset(spec));
+    leaves.push_back(std::move(sketch));
+  }
+  EXPECT_EQ(leaves[0]->Merge(*leaves[1]), StreamqStatus::kOk);
+  EXPECT_EQ(leaves[2]->Merge(*leaves[3]), StreamqStatus::kOk);
+  EXPECT_EQ(leaves[0]->Merge(*leaves[2]), StreamqStatus::kOk);
+  const std::string bytes = leaves[0]->Serialize();
+  return Crc32c(bytes.data(), bytes.size());
+}
+
+TEST(MergeGoldenTest, RandomMergeTreeBytesArePinned) {
+  EXPECT_EQ(MergeTreeCrc<RandomSketch>(), 0xabd3fc0au);
+}
+
+TEST(MergeGoldenTest, Mrl99MergeTreeBytesArePinned) {
+  EXPECT_EQ(MergeTreeCrc<Mrl99>(), 0x79f1fecbu);
 }
 
 }  // namespace
