@@ -36,9 +36,10 @@
 // audit cost, all of it warmup.)
 //
 // Usage: bench_audit [--json] [OUT.json]
-//   --json         write the section JSON (to OUT.json, default stdout);
-//                  splice into BENCH_baseline.json with
-//                  scripts/merge_audit_bench.py.
+//   --json         write the BENCH_baseline.json "audit" section (to
+//                  OUT.json, default stdout; splice it into the committed
+//                  baseline with `scripts/check_bench_json.py
+//                  BENCH_baseline.json --splice audit OUT.json`)
 //   (default)      human-readable table on stdout
 //
 // Scale knobs: STREAMQ_SCALE (base n = 2,000,000), STREAMQ_REPS.

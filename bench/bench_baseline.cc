@@ -3,8 +3,9 @@
 //
 // Unlike the per-figure binaries (human-readable tables for one figure
 // each), this one emits a single JSON file consumed by
-// scripts/check_bench_json.py, which validates the schema and flags
-// ns/update regressions beyond 20% against the committed BENCH_baseline.json.
+// scripts/check_bench_json.py, which checks it against its gate table and
+// flags ns/update regressions beyond 20% against the committed
+// BENCH_baseline.json.
 //
 // Usage: bench_baseline [output.json]     (default: BENCH_baseline.json)
 // Scale knobs: STREAMQ_SCALE / STREAMQ_REPS as in every other bench binary.
@@ -87,7 +88,7 @@ int Main(int argc, char** argv) {
 
   std::string json;
   json += "{\n";
-  json += "  \"schema_version\": 9,\n";
+  json += "  \"schema_version\": 10,\n";
   json += "  \"eps\": 0.01,\n";
   json += "  \"n\": " + std::to_string(n) + ",\n";
   json += "  \"rss_n\": " + std::to_string(rss_n) + ",\n";
@@ -143,11 +144,11 @@ int Main(int argc, char** argv) {
   }
   json += "\n  ],\n";
 
-  // Parallel-ingest sweep (schema_version 2): the sharded pipeline over
-  // the uniform dataset with the Random summary, 1..8 shard workers. The
-  // checker validates schema and merged accuracy but deliberately runs no
-  // ns/update regression gate on this section -- thread-scheduling noise
-  // dwarfs the 20% budget, especially on small hosts.
+  // Parallel-ingest sweep: the sharded pipeline over the uniform dataset
+  // with the Random summary, 1..8 shard workers. The checker validates
+  // schema and merged accuracy but deliberately runs no ns/update
+  // regression gate on this section -- thread-scheduling noise dwarfs the
+  // 20% budget, especially on small hosts.
   {
     DatasetSpec spec = BaselineDatasets(n)[0].spec;  // uniform-random
     const std::vector<uint64_t> data = GenerateDataset(spec);
@@ -185,11 +186,11 @@ int Main(int argc, char** argv) {
     json += "\n    ]\n  },\n";
   }
 
-  // Durability section (schema_version 3): the WAL's hot-path cost and
-  // recovery latency, both on in-memory storage so the numbers measure
-  // the pipeline's framing/CRC/buffering work, not the host's disk. The
-  // checker validates structure and sanity only -- like the ingest sweep,
-  // wall-clock here is thread-timing dependent.
+  // Durability section: the WAL's hot-path cost and recovery latency, both
+  // on in-memory storage so the numbers measure the pipeline's
+  // framing/CRC/buffering work, not the host's disk. The checker validates
+  // structure and sanity only -- like the ingest sweep, wall-clock here is
+  // thread-timing dependent.
   {
     DatasetSpec spec = BaselineDatasets(n)[0].spec;  // uniform-random
     const std::vector<uint64_t> data = GenerateDataset(spec);
@@ -282,46 +283,18 @@ int Main(int argc, char** argv) {
     json += "\n    ]\n  },\n";
   }
 
-  // Trace-overhead section (schema_version 4): always null here. The
-  // comparison needs binaries from TWO build configurations (the "off"
-  // lane is a -DSTREAMQ_TRACE=OFF build), so no single bench_baseline run
-  // can fill it in. Run bench_trace_overhead --json in both builds and
-  // splice the lanes into the committed baseline with
-  // scripts/merge_trace_overhead.py; check_bench_json.py gates the merged
-  // idle lane at 5% over off.
+  // Five sections come from benches of their own and are always null here:
+  // the idle and recording tracer lanes (bench_trace_overhead), the
+  // node-count sweep with failover (bench_cluster), the client-count sweep
+  // over TCP loopback (bench_net), the chaos lanes (bench_net_resilience)
+  // and the audited vs unaudited lanes (bench_audit). Fill one with
+  //   <bench> --json OUT.json
+  //   scripts/check_bench_json.py BENCH_baseline.json --splice <name> OUT.json
+  // which writes the section only if it passes the checker's gate table.
   json += "  \"trace_overhead\": null,\n";
-
-  // Cluster section (schema_version 5): always null here -- the cluster
-  // sweep (throughput / merge latency vs node count, failover recovery)
-  // is its own multi-minute workload and lives in bench_cluster. Run
-  // bench_cluster --json and splice the section into the committed
-  // baseline with scripts/merge_cluster_bench.py; check_bench_json.py
-  // validates the merged structure.
   json += "  \"cluster\": null,\n";
-
-  // Net section (schema_version 7): always null here -- the network sweep
-  // (insert + batch-insert throughput and query latency vs client count
-  // over TCP loopback) lives in bench_net. Run bench_net --json and
-  // splice the section into the committed baseline with
-  // scripts/merge_net_bench.py; check_bench_json.py gates the merged
-  // 1-client batch-insert lane at >= 10x single-item inserts/sec.
   json += "  \"net\": null,\n";
-
-  // Net-resilience section (schema_version 8): always null here -- the
-  // chaos lanes (reconnect latency under injected resets, throughput
-  // under a 1% transport fault rate vs clean) live in
-  // bench_net_resilience. Run bench_net_resilience --json and splice the
-  // section into the committed baseline with
-  // scripts/merge_net_resilience_bench.py; check_bench_json.py gates the
-  // faulty lane at >= 50% of clean throughput.
   json += "  \"net_resilience\": null,\n";
-
-  // Audit section (schema_version 9): always null here -- the audited vs
-  // unaudited ingest lanes live in bench_audit. Run bench_audit --json and
-  // splice the section into the committed baseline with
-  // scripts/merge_audit_bench.py; check_bench_json.py gates the audited
-  // lane at 5% over unaudited and requires the audit rounds to come back
-  // violation-free.
   json += "  \"audit\": null\n";
   json += "}\n";
 

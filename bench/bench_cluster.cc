@@ -19,8 +19,9 @@
 //
 // Usage: bench_cluster [--json] [OUT.json]
 //   --json         write the BENCH_baseline.json "cluster" section (to
-//                  OUT.json, default stdout; splice into the committed
-//                  baseline with scripts/merge_cluster_bench.py)
+//                  OUT.json, default stdout; splice it into the committed
+//                  baseline with `scripts/check_bench_json.py
+//                  BENCH_baseline.json --splice cluster OUT.json`)
 //
 // Scale knobs: STREAMQ_SCALE as everywhere (base n = 200,000).
 

@@ -18,8 +18,9 @@
 //
 // Usage: bench_net [--json] [OUT.json]
 //   --json         write the BENCH_baseline.json "net" section (to
-//                  OUT.json, default stdout; splice into the committed
-//                  baseline with scripts/merge_net_bench.py)
+//                  OUT.json, default stdout; splice it into the committed
+//                  baseline with `scripts/check_bench_json.py
+//                  BENCH_baseline.json --splice net OUT.json`)
 //
 // Scale knobs: STREAMQ_SCALE as everywhere (base counts below).
 

@@ -10,7 +10,7 @@
 //   * throughput under faults: the same bulk push once over perfect
 //     connections and once through FaultyConn with ~1% fault rates
 //     (short reads/writes, would-blocks, occasional bit flips and
-//     resets). The committed gate (check_bench_json.py, schema v8) is
+//     resets). The committed gate (check_bench_json.py's table) is
 //     the RATIO: the faulty lane must sustain >= 50% of clean -- chaos
 //     may tax the wire, it must not collapse it.
 //
@@ -19,9 +19,10 @@
 // double-counted values fails instead of reporting a pretty number.
 //
 // Usage: bench_net_resilience [--json] [OUT.json]
-//   --json         write the BENCH_baseline.json "net_resilience" section
-//                  (to OUT.json, default stdout; splice into the committed
-//                  baseline with scripts/merge_net_resilience_bench.py)
+//   --json         write the BENCH_baseline.json "net_resilience" section (to
+//                  OUT.json, default stdout; splice it into the committed
+//                  baseline with `scripts/check_bench_json.py
+//                  BENCH_baseline.json --splice net_resilience OUT.json`)
 //
 // Scale knobs: STREAMQ_SCALE as everywhere (base counts below).
 

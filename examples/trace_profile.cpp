@@ -103,12 +103,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-#if !STREAMQ_TRACE_ENABLED
-  std::fprintf(stderr,
-               "trace_profile requires a -DSTREAMQ_TRACE=ON build; this one "
-               "compiled the instrumentation out\n");
-  return 1;
-#else
   obs::Tracer& tracer = obs::Tracer::Global();
   if (args.ring_events > 0) tracer.SetRingEvents(args.ring_events);
   tracer.SetEnabled(true);
@@ -191,5 +185,4 @@ int main(int argc, char** argv) {
   std::printf("p50=%.0f p99=%.0f durable_seq=%llu\n", p50, p99,
               static_cast<unsigned long long>(pipeline->DurableSeq()));
   return 0;
-#endif  // STREAMQ_TRACE_ENABLED
 }

@@ -225,7 +225,8 @@ std::unique_ptr<ReservoirShadow> ReservoirShadow::Restore(
 // ---------------------------------------------------------------------------
 
 double AuditSlackForAlgorithm(std::string_view algorithm) {
-  // Mirror of scripts/check_bench_json.py's ERROR_SLACK table.
+  // Mirror of ERROR_SLACK in scripts/check_bench_json.py, which its gate
+  // table applies to every cell's observed error.
   if (algorithm == "GKTheory" || algorithm == "GKAdaptive" ||
       algorithm == "GKArray" || algorithm == "FastQDigest") {
     return 1.0;

@@ -22,10 +22,6 @@
 //    exporter applies a seqlock-style discard rule (see TraceRing::Snapshot)
 //    so a slot that may have been overwritten mid-read is dropped rather
 //    than emitted torn. TSan runs clean over concurrent record + snapshot.
-//  * Compiled out entirely under -DSTREAMQ_TRACE=OFF. The macros at the
-//    bottom expand to ((void)0); no flag check, no clock read, nothing
-//    remains at the instrumentation sites. The types stay compiled so
-//    exporters and tests keep building.
 //
 // Rings are pooled: a thread's first record acquires a ring from
 // Tracer::Global() and caches it in a thread_local; thread exit returns the
@@ -48,10 +44,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-
-#ifndef STREAMQ_TRACE_ENABLED
-#define STREAMQ_TRACE_ENABLED 1
-#endif
 
 namespace streamq::obs {
 
@@ -288,8 +280,6 @@ class TraceSpan {
 
 }  // namespace streamq::obs
 
-#if STREAMQ_TRACE_ENABLED
-
 #define STREAMQ_TRACE_CAT2(a, b) a##b
 #define STREAMQ_TRACE_CAT(a, b) STREAMQ_TRACE_CAT2(a, b)
 
@@ -309,21 +299,9 @@ class TraceSpan {
     }                                                                     \
   } while (0)
 
-/// Executes `stmt` only in a trace-enabled build.
-#define STREAMQ_IF_TRACE(stmt) stmt
-
 /// Fires the global crash-dump latch (no-op unless armed; see
 /// Tracer::SetCrashDumpPath).
 #define STREAMQ_TRACE_CRASH_DUMP(reason) \
   ((void)::streamq::obs::Tracer::Global().CrashDump(reason))
-
-#else  // !STREAMQ_TRACE_ENABLED
-
-#define STREAMQ_TRACE_SPAN(point, arg) ((void)0)
-#define STREAMQ_TRACE_INSTANT(point, arg) ((void)0)
-#define STREAMQ_IF_TRACE(stmt)
-#define STREAMQ_TRACE_CRASH_DUMP(reason) ((void)0)
-
-#endif  // STREAMQ_TRACE_ENABLED
 
 #endif  // STREAMQ_OBS_TRACE_H_

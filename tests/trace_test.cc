@@ -5,11 +5,8 @@
 // crash-dump triggers, and the end-to-end armed-crash dump the acceptance
 // criteria require.
 //
-// The file compiles and passes in both trace build flavours; assertions
-// that need live macro call sites are guarded on STREAMQ_TRACE_ENABLED,
-// and a -DSTREAMQ_TRACE=OFF build instead asserts the macros record
-// nothing. The concurrency tests double as the TSan proof that concurrent
-// record + snapshot is race-free.
+// The concurrency tests double as the TSan proof that concurrent record +
+// snapshot is race-free.
 
 #include <gtest/gtest.h>
 
@@ -318,8 +315,6 @@ TEST(TracerTest, RingsAreReusedAcrossThreads) {
   EXPECT_EQ(Tracer::Global().RingCount(), rings_after_first);
 }
 
-#if STREAMQ_TRACE_ENABLED
-
 TEST(TracerTest, SpanMacroRecordsBeginAndEnd) {
   GlobalTraceGuard guard;
   const uint64_t before = Tracer::Global().TotalRecorded();
@@ -353,21 +348,6 @@ TEST(TracerTest, SpanLatchesEnabledAtConstruction) {
   }
   EXPECT_EQ(Tracer::Global().TotalRecorded(), before + 2);
 }
-
-#else  // !STREAMQ_TRACE_ENABLED
-
-TEST(TracerTest, CompiledOutMacrosRecordNothing) {
-  GlobalTraceGuard guard;
-  const uint64_t before = Tracer::Global().TotalRecorded();
-  {
-    STREAMQ_TRACE_SPAN(TracePoint::kQuery, 1);
-    STREAMQ_TRACE_INSTANT(TracePoint::kViewFlip, 2);
-    STREAMQ_TRACE_CRASH_DUMP("noop");
-  }
-  EXPECT_EQ(Tracer::Global().TotalRecorded(), before);
-}
-
-#endif  // STREAMQ_TRACE_ENABLED
 
 // --- Chrome trace export --------------------------------------------------
 
@@ -514,8 +494,6 @@ TEST(CrashDumpTest, UnarmedDumpIsANoop) {
 
 // --- pipeline integration -------------------------------------------------
 
-#if STREAMQ_TRACE_ENABLED
-
 ingest::IngestOptions TracePipelineOptions() {
   ingest::IngestOptions options;
   options.sketch.algorithm = Algorithm::kRandom;
@@ -614,8 +592,6 @@ TEST(TracePipelineTest, ConcurrentExportWhileRecording) {
   exporter.join();
   pipeline->Stop();
 }
-
-#endif  // STREAMQ_TRACE_ENABLED
 
 }  // namespace
 }  // namespace streamq
