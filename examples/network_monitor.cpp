@@ -43,8 +43,8 @@ int main() {
     return 1;
   }
   std::thread serving([&reactor] { reactor->Run(); });
-  std::printf("serving on 127.0.0.1:%u (%s backend)\n\n", reactor->port(),
-              reactor->using_epoll() ? "epoll" : "poll");
+  std::printf("serving on 127.0.0.1:%u (ephemeral port)\n\n",
+              reactor->port());
 
   // --- client side --------------------------------------------------------
   auto client = net::StreamqClient::ConnectTcp("127.0.0.1", reactor->port());

@@ -2,7 +2,7 @@
 // TCP port with real disks.
 //
 //   $ ./streamq_server --port=9409 --data-dir=/var/lib/streamq
-//   serving on 0.0.0.0:9409 (epoll backend), data dir /var/lib/streamq
+//   serving on 0.0.0.0:9409 (data dir /var/lib/streamq)
 //
 // Clients: StreamqClient (src/net/client.h), `streamq_cli connect
 // HOST:PORT`, or any HTTP scraper hitting GET /metrics on the same port.
@@ -71,8 +71,7 @@ void Usage() {
       "  --audit-slo-eps=E     audit against this absolute rank-error SLO\n"
       "                        instead of each stream's eps*slack\n"
       "  --audit-unhealthy=N   consecutive violating rounds before /healthz\n"
-      "                        goes 503 (default 3; 0 = never)\n"
-      "  --poll                force the poll() backend (no epoll)\n");
+      "                        goes 503 (default 3; 0 = never)\n");
 }
 
 }  // namespace
@@ -132,8 +131,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--audit-unhealthy=", 0) == 0) {
       server_options.audit_unhealthy_rounds = static_cast<uint32_t>(
           std::strtoul(arg.c_str() + 18, nullptr, 10));
-    } else if (arg == "--poll") {
-      reactor_options.force_poll = true;
     } else {
       Usage();
       return arg == "--help" ? 0 : 2;
@@ -157,9 +154,9 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGPIPE, SIG_IGN);
 
-  std::printf("serving on %s:%u (%s backend), data dir %s\n",
+  std::printf("serving on %s:%u (data dir %s)\n",
               reactor_options.bind_addr.c_str(), reactor->port(),
-              reactor->using_epoll() ? "epoll" : "poll", data_dir.c_str());
+              data_dir.c_str());
   std::printf("metrics: curl http://%s:%u/metrics\n",
               reactor_options.bind_addr.c_str(), reactor->port());
   if (server_options.audit) {

@@ -8,12 +8,14 @@ Usage: check_docs_links.py [REPO_ROOT]
 Three checks:
 
 1. Dangling references: scans the repo's top-level *.md files for
-   references to repo files -- markdown links, inline code spans like
-   `src/obs/metrics.h`, and bare path-looking tokens -- and reports any
-   that point at nothing on disk. Shorthand like `foo.h/.cc` expands into
-   both files; paths ending in "/" must be directories; build outputs
-   under build*/ are resolved relative to any configured build dir if one
-   exists, and skipped otherwise (a fresh checkout has no build tree).
+   references to repo files -- markdown links and path-looking tokens in
+   inline code spans like `src/obs/metrics.h` -- and reports any that
+   point at nothing on disk. Fenced code blocks are stripped first, so a
+   span may wrap across one line break and its paths are still checked.
+   Shorthand like `foo.h/.cc` expands into both files; paths ending in
+   "/" must be directories; build outputs under build*/ are resolved
+   relative to any configured build dir if one exists, and skipped
+   otherwise (a fresh checkout has no build tree).
 
 2. Orphan subsystems: every top-level directory under src/ must be
    mentioned as `src/<name>` somewhere in DESIGN.md. A subsystem the
@@ -40,8 +42,11 @@ PATH_EXTENSIONS = (
     ".h", ".cc", ".cpp", ".md", ".txt", ".py", ".json", ".cmake",
 )
 
-# `path` or `path/.ext` inside backticks, and [text](path) markdown links.
-CODE_SPAN = re.compile(r"`([^`\n]+)`")
+# `path` or `path/.ext` inside backticks (a span may wrap onto a second
+# line), and [text](path) markdown links.
+FENCED_BLOCK = re.compile(r"^[ \t]*```.*?^[ \t]*```[^\n]*$",
+                          re.MULTILINE | re.DOTALL)
+CODE_SPAN = re.compile(r"`([^`\n]+(?:\n[^`\n]+)?)`")
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)\)")
 
 # External references we never check.
@@ -110,7 +115,7 @@ def exists_in_repo(root, md_path, token):
 def check_file(root, md_path):
     dangling = []
     with open(md_path, "r", encoding="utf-8") as f:
-        text = f.read()
+        text = FENCED_BLOCK.sub("", f.read())
 
     tokens = set()
     for m in CODE_SPAN.finditer(text):

@@ -8,9 +8,7 @@ namespace streamq::net {
 
 StreamqClient::StreamqClient(std::unique_ptr<Conn> conn,
                              ClientOptions options)
-    : conn_(std::move(conn)),
-      options_(options),
-      inbuf_(options.max_frame_bytes) {}
+    : conn_(std::move(conn)), options_(options) {}
 
 std::unique_ptr<StreamqClient> StreamqClient::ConnectTcp(
     const std::string& host, uint16_t port, ClientOptions options) {

@@ -41,7 +41,6 @@ struct ClientOptions {
   /// Per-wait bound while blocked on the peer; an operation gives up --
   /// and the client goes dead -- after this long with no progress at all.
   int io_timeout_ms = 30000;
-  size_t max_frame_bytes = kMaxFrameBytes;
 };
 
 class StreamqClient {

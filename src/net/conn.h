@@ -5,7 +5,7 @@
 // implementations exist:
 //
 //  * SocketConn (socket.h): a non-blocking TCP socket, the production
-//    transport the reactor multiplexes with epoll/poll.
+//    transport the reactor multiplexes with poll().
 //  * the loopback pair (loopback.h): two in-process endpoints joined by
 //    bounded byte queues, so the full server logic is unit-testable --
 //    including under ASan/UBSan/TSan -- without opening a socket.

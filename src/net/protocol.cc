@@ -311,7 +311,7 @@ FrameScan FrameBuffer::Next(std::string* frame) {
       (type != SnapshotType::kNetRequest &&
        type != SnapshotType::kNetResponse) ||
       Crc32c(head, kFrameHeaderCrcCoverage) != header_crc ||
-      payload_len > max_frame_bytes_ - kFrameHeaderBytes) {
+      payload_len > kMaxFrameBytes - kFrameHeaderBytes) {
     poisoned_ = true;
     return FrameScan::kBad;
   }

@@ -172,16 +172,13 @@ enum class FrameScan {
 /// validation (magic, version, a net type tag, the header CRC over the
 /// boundary fields, payload_len <= max) happens here -- before payload
 /// bytes are even retained -- so a corrupt length can never grow the
-/// buffer past max_frame_bytes + one read chunk, and a corrupt-but-
+/// buffer past kMaxFrameBytes + one read chunk, and a corrupt-but-
 /// plausible length is rejected instead of waiting forever for a frame
 /// that will never complete. Payload CRC validation is Decode*'s job (a
 /// payload CRC failure still has an exact boundary and is recoverable;
 /// see the header comment).
 class FrameBuffer {
  public:
-  explicit FrameBuffer(size_t max_frame_bytes = kMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   void Append(const char* data, size_t n) { buffer_.append(data, n); }
 
   /// Extracts the next complete frame into *frame (consumed from the
@@ -193,7 +190,6 @@ class FrameBuffer {
  private:
   std::string buffer_;
   size_t consumed_ = 0;
-  size_t max_frame_bytes_;
   bool poisoned_ = false;
 };
 

@@ -1,16 +1,10 @@
 #include "net/reactor.h"
 
-#include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "net/socket.h"
@@ -18,9 +12,10 @@
 namespace streamq::net {
 namespace {
 
-// epoll user-data keys for the two non-session fds.
-constexpr uint64_t kListenKey = 0;
-constexpr uint64_t kWakeKey = ~uint64_t{0};
+// Poll timeout while sessions have parked work (the ring-drain retry
+// cadence, also used while draining) and while fully idle.
+constexpr int kParkedTimeoutMs = 1;
+constexpr int kIdleTimeoutMs = 50;
 
 bool MakeNonBlockingPipe(int fds[2]) {
   if (::pipe(fds) != 0) return false;
@@ -56,25 +51,11 @@ bool Reactor::Init() {
     listen_fd_ = -1;
     return false;
   }
-#ifdef __linux__
-  if (!options_.force_poll) {
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ >= 0) {
-      struct epoll_event ev;
-      ev.events = EPOLLIN;  // level-triggered
-      ev.data.u64 = kListenKey;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-      ev.data.u64 = kWakeKey;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_pipe_[0], &ev);
-    }
-  }
-#endif
   return true;
 }
 
 Reactor::~Reactor() {
   Shutdown();
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   for (const int fd : wake_pipe_) {
     if (fd >= 0) ::close(fd);
@@ -101,35 +82,8 @@ void Reactor::AcceptPending() {
   for (;;) {
     std::unique_ptr<SocketConn> conn = TcpAccept(listen_fd_);
     if (conn == nullptr) break;
-    const uint64_t id = server_->AddConn(std::move(conn));
-    UpdateInterest(id);
+    server_->AddConn(std::move(conn));
   }
-}
-
-void Reactor::UpdateInterest(uint64_t session_id) {
-#ifdef __linux__
-  if (epoll_fd_ < 0) return;
-  const int fd = server_->SessionFd(session_id);
-  if (fd < 0) {
-    // Session gone; closing the fd removed it from the epoll set.
-    interest_.erase(session_id);
-    return;
-  }
-  uint32_t events = 0;
-  if (server_->WantsRead(session_id)) events |= EPOLLIN;
-  if (server_->WantsWrite(session_id)) events |= EPOLLOUT;
-  auto it = interest_.find(session_id);
-  if (it != interest_.end() && it->second == events) return;
-  struct epoll_event ev;
-  ev.events = events;
-  ev.data.u64 = session_id;
-  const int op = it == interest_.end() ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
-  if (::epoll_ctl(epoll_fd_, op, fd, &ev) == 0) {
-    interest_[session_id] = events;
-  }
-#else
-  (void)session_id;
-#endif
 }
 
 void Reactor::PumpReady(const std::vector<uint64_t>& ready) {
@@ -141,18 +95,6 @@ void Reactor::PumpReady(const std::vector<uint64_t>& ready) {
   // Governance deadlines are timer-driven too: an idle or stalled session
   // raises no fd event, so the sweep rides every loop iteration.
   server_->SweepDeadlines();
-  // Interest may have changed for ANY session (a DROP unparks bystanders,
-  // a response enqueue flips WantsWrite), so re-express all of it.
-  for (const uint64_t id : server_->SessionIds()) UpdateInterest(id);
-#ifdef __linux__
-  for (auto it = interest_.begin(); it != interest_.end();) {
-    if (server_->SessionFd(it->first) < 0) {
-      it = interest_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-#endif
 }
 
 bool Reactor::RunOnce(int timeout_ms) {
@@ -177,37 +119,18 @@ bool Reactor::RunOnce(int timeout_ms) {
     }
     // Draining sessions close on pump, not on fd events; keep the loop
     // brisk so write queues flush and FLUSH barriers resolve promptly.
-    timeout_ms = std::min(timeout_ms, options_.parked_timeout_ms);
+    timeout_ms = std::min(timeout_ms, kParkedTimeoutMs);
   }
   if (server_->HasParkedWork()) {
-    timeout_ms = std::min(timeout_ms, options_.parked_timeout_ms);
+    timeout_ms = std::min(timeout_ms, kParkedTimeoutMs);
   }
 
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    struct epoll_event events[64];
-    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    std::vector<uint64_t> ready;
-    bool accept = false;
-    for (int i = 0; i < n; ++i) {
-      const uint64_t key = events[i].data.u64;
-      if (key == kListenKey) {
-        accept = true;
-      } else if (key == kWakeKey) {
-        char buf[64];
-        while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-        }
-      } else {
-        ready.push_back(key);
-      }
-    }
-    if (accept) AcceptPending();
-    PumpReady(ready);
-    return !shutdown_.load(std::memory_order_acquire);
-  }
-#endif
-
-  // Portable poll() backend: rebuild the set every iteration.
+  // One poll() set, rebuilt from the server's interest every iteration:
+  // interest can change for any session (a DROP unparks bystanders, a
+  // response enqueue flips WantsWrite). An epoll interest cache would save
+  // nothing, since the deadline sweep in PumpReady walks every session on
+  // every iteration anyway -- per-iteration work is O(sessions) with either
+  // backend -- and poll() runs on every POSIX target.
   std::vector<struct pollfd> fds;
   std::vector<uint64_t> ids;
   fds.push_back({wake_pipe_[0], POLLIN, 0});
@@ -239,7 +162,7 @@ bool Reactor::RunOnce(int timeout_ms) {
 }
 
 void Reactor::Run() {
-  while (RunOnce(options_.idle_timeout_ms)) {
+  while (RunOnce(kIdleTimeoutMs)) {
   }
 }
 

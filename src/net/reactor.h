@@ -1,25 +1,22 @@
 // Single-threaded TCP event loop driving a StreamqServer: accepts
 // connections on one listening socket and pumps their sessions on
-// readiness. Level-triggered epoll on Linux, a poll() fallback everywhere
-// else (and on request, for testing the portable path); both express the
-// same interest sets -- WantsRead/WantsWrite from the server -- so the
-// backpressure semantics (a parked session is simply absent from the read
-// set) are identical.
+// readiness. Each iteration rebuilds a poll() set from the server's
+// interest -- WantsRead/WantsWrite -- so a parked session is simply absent
+// from the read set: that absence is the backpressure.
 //
 // Parked work (a session waiting for an ingest ring to drain or a FLUSH
 // mark to advance) has no fd to fire; while any exists the loop polls with
-// a short timeout and re-pumps, so rings drain promptly without a busy
-// spin when idle.
+// a 1 ms timeout and re-pumps, so rings drain promptly without a busy spin
+// when idle.
 //
-// Shutdown() is thread-safe: it writes to a self-pipe registered in the
-// interest set, waking the loop immediately.
+// Shutdown() is thread-safe: it writes to a self-pipe in the poll set,
+// waking the loop immediately.
 
 #ifndef STREAMQ_NET_REACTOR_H_
 #define STREAMQ_NET_REACTOR_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,12 +29,6 @@ struct ReactorOptions {
   std::string bind_addr = "127.0.0.1";
   /// 0 = ephemeral (the bound port is reported by port()).
   uint16_t port = 0;
-  /// Use the portable poll() backend even where epoll is available.
-  bool force_poll = false;
-  /// Poll timeout while sessions have parked work (ring-drain retry
-  /// cadence) and while fully idle.
-  int parked_timeout_ms = 1;
-  int idle_timeout_ms = 50;
   /// Hard deadline for a RequestDrain(): sessions that have not finished
   /// flushing by then are force-closed and Run() returns.
   int drain_timeout_ms = 5000;
@@ -64,7 +55,6 @@ class Reactor {
   Reactor& operator=(const Reactor&) = delete;
 
   uint16_t port() const { return port_; }
-  bool using_epoll() const { return epoll_fd_ >= 0; }
 
   /// Runs until Shutdown(). Call from the thread that owns the server.
   void Run();
@@ -90,19 +80,13 @@ class Reactor {
   Reactor(StreamqServer* server, const ReactorOptions& options);
   bool Init();
   void AcceptPending();
-  /// (Re)expresses one session's interest to epoll; no-op on poll backend.
-  void UpdateInterest(uint64_t session_id);
   void PumpReady(const std::vector<uint64_t>& ready);
 
   StreamqServer* server_;
   ReactorOptions options_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;  // -1 = poll backend
   int wake_pipe_[2] = {-1, -1};
-  /// Cached epoll interest per session (MOD calls only on change); unused
-  /// by the poll backend, which rebuilds its set every iteration.
-  std::map<uint64_t, uint32_t> interest_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> drain_requested_{false};
   uint64_t drain_begin_ns_ = 0;

@@ -14,6 +14,8 @@ namespace {
 
 constexpr size_t kMaxStreamName = 128;
 constexpr size_t kMaxHttpRequest = size_t{16} << 10;
+/// Bytes read from a connection per pump.
+constexpr size_t kReadChunk = size_t{64} << 10;
 
 bool ValidStreamName(const std::string& name) {
   if (name.empty() || name.size() > kMaxStreamName) return false;
@@ -37,10 +39,6 @@ bool LooksLikeHttp(const std::string& head) {
 
 StreamqServer::StreamqServer(ServerOptions options)
     : options_(std::move(options)) {
-  if (options_.read_chunk == 0) options_.read_chunk = size_t{64} << 10;
-  if (options_.max_frame_bytes < kFrameHeaderBytes + 64) {
-    options_.max_frame_bytes = kFrameHeaderBytes + 64;
-  }
   if (options_.default_shards < 1) options_.default_shards = 1;
   if (options_.audit_reservoir < 1) options_.audit_reservoir = 1;
   // Register the global audit families up front so a scrape always carries
@@ -57,8 +55,7 @@ StreamqServer::~StreamqServer() = default;
 
 uint64_t StreamqServer::AddConn(std::unique_ptr<Conn> conn) {
   const uint64_t id = next_session_id_++;
-  auto session =
-      std::make_unique<Session>(std::move(conn), options_.max_frame_bytes);
+  auto session = std::make_unique<Session>(std::move(conn));
   session->last_activity_ns = NowNs();
   // Admission control: over the limit (or draining), the connection gets
   // one clean kServerBusy frame and closes -- a client can tell "retry
@@ -141,10 +138,8 @@ PumpResult StreamqServer::PumpSession(uint64_t /*id*/, Session& session) {
 }
 
 bool StreamqServer::ReadSome(Session& session, bool* progressed) {
-  if (read_buf_.size() < options_.read_chunk) {
-    read_buf_.resize(options_.read_chunk);
-  }
-  const int n = session.conn->Read(read_buf_.data(), options_.read_chunk);
+  if (read_buf_.size() < kReadChunk) read_buf_.resize(kReadChunk);
+  const int n = session.conn->Read(read_buf_.data(), kReadChunk);
   if (n < 0) return false;  // peer gone
   if (n == 0) return true;  // nothing readable now
   *progressed = true;

@@ -60,10 +60,6 @@ struct ServerOptions {
   /// (stops processing; reads defer). Bounds per-connection memory
   /// against a client that writes but never reads.
   size_t write_queue_limit = size_t{4} << 20;
-  /// Bytes read from a connection per pump.
-  size_t read_chunk = size_t{64} << 10;
-  /// Frame ceiling per connection (header + payload).
-  size_t max_frame_bytes = kMaxFrameBytes;
   size_t max_streams = 64;
   /// IngestOptions defaults for CREATE (shards used when the request
   /// leaves CreateParams::shards at 0).
@@ -236,8 +232,7 @@ class StreamqServer {
     uint64_t last_activity_ns = 0;       // last read/write/park progress
     uint64_t write_limited_since_ns = 0; // 0 = queue below its limit
 
-    explicit Session(std::unique_ptr<Conn> c, size_t max_frame)
-        : conn(std::move(c)), inbuf(max_frame) {}
+    explicit Session(std::unique_ptr<Conn> c) : conn(std::move(c)) {}
 
     /// Bytes this session retains (input buffers + queued responses).
     size_t RetainedBytes() const {

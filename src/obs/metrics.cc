@@ -166,82 +166,6 @@ void MetricsRegistry::ResetAll() {
   for (auto& [name, h] : histograms_) h->Reset();
 }
 
-std::string MetricsRegistry::Snapshot() const {
-  SerdeWriter w;
-  w.U64(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    w.Bytes(name);
-    w.U64(c->value());
-  }
-  w.U64(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    w.Bytes(name);
-    w.I64(g->value());
-  }
-  w.U64(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    w.Bytes(name);
-    w.U64(h->count_);
-    w.U64(h->sum_);
-    w.U64(h->min_);
-    w.U64(h->max_);
-    for (uint64_t b : h->buckets_) w.U64(b);
-  }
-  return FrameSnapshot(SnapshotType::kMetricsRegistry, w.Take());
-}
-
-bool MetricsRegistry::Restore(const std::string& frame) {
-  std::string payload;
-  if (!UnframeSnapshot(frame, SnapshotType::kMetricsRegistry, &payload)) {
-    return false;
-  }
-  SerdeReader r(payload);
-
-  // Decode into fresh maps; *this is only replaced on a full, exact parse.
-  std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms;
-
-  uint64_t n = 0;
-  if (!r.U64(&n) || n > r.Remaining()) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    uint64_t v = 0;
-    if (!r.Bytes(&name) || !r.U64(&v)) return false;
-    auto c = std::make_unique<Counter>();
-    c->Add(v);
-    counters[std::move(name)] = std::move(c);
-  }
-  if (!r.U64(&n) || n > r.Remaining()) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    int64_t v = 0;
-    if (!r.Bytes(&name) || !r.I64(&v)) return false;
-    auto g = std::make_unique<Gauge>();
-    g->Set(v);
-    gauges[std::move(name)] = std::move(g);
-  }
-  if (!r.U64(&n) || n > r.Remaining()) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    auto h = std::make_unique<Histogram>();
-    if (!r.Bytes(&name) || !r.U64(&h->count_) || !r.U64(&h->sum_) ||
-        !r.U64(&h->min_) || !r.U64(&h->max_)) {
-      return false;
-    }
-    for (uint64_t& b : h->buckets_) {
-      if (!r.U64(&b)) return false;
-    }
-    histograms[std::move(name)] = std::move(h);
-  }
-  if (!r.Done()) return false;
-
-  counters_ = std::move(counters);
-  gauges_ = std::move(gauges);
-  histograms_ = std::move(histograms);
-  return true;
-}
-
 std::string MetricsRegistry::DebugString() const {
   std::string out;
   for (const auto& [name, c] : counters_) {

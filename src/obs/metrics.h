@@ -12,10 +12,6 @@
 //    saturation into the last bucket -- enough dynamic range for tuple
 //    counts, buffer sizes, and cycle counts alike, with no configuration
 //    and no per-record search.
-//  * Deterministic serialisation. A registry snapshots through the same
-//    CRC32C-framed serde as sketch snapshots (SnapshotType::kMetricsRegistry),
-//    so coordinator-side metrics can cross the faulty channel and corrupt
-//    frames are rejected before a byte is interpreted.
 //
 // Thread-safety: none of these types synchronise. The library is
 // single-threaded by design (one sketch, one stream); share a registry
@@ -30,8 +26,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "util/serde.h"
 
 namespace streamq::obs {
 
@@ -114,7 +108,6 @@ class Histogram {
   }
 
  private:
-  friend class MetricsRegistry;  // snapshot/restore of the raw state
   uint64_t buckets_[kBucketCount] = {};
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
@@ -205,17 +198,6 @@ class MetricsRegistry {
   /// Zeroes every metric, keeping registrations (and handed-out references)
   /// valid.
   void ResetAll();
-
-  /// Serialized, CRC32C-framed snapshot of every metric
-  /// (SnapshotType::kMetricsRegistry) -- transportable over FaultyChannel
-  /// like any sketch snapshot.
-  std::string Snapshot() const;
-
-  /// Replaces this registry's contents with a Snapshot(). Returns false --
-  /// leaving *this untouched -- on any corrupt input (bad frame, bad CRC,
-  /// truncated or oversized payload). References handed out before Restore
-  /// are invalidated on success.
-  bool Restore(const std::string& frame);
 
   /// Human-readable multi-line dump ("name value" per line), for logs and
   /// the bench binaries.

@@ -136,26 +136,6 @@ uint64_t DyadicQuantileBase::QueryImpl(double phi) {
   return x;
 }
 
-uint64_t DyadicQuantileBase::QueryByDescent(double phi) {
-  if (!PhiIsValid(phi)) return 0;
-  double target = phi * static_cast<double>(n_);
-  target = std::clamp(target, 0.0, static_cast<double>(n_));
-  uint64_t cell = 0;
-  double remaining = static_cast<double>(n_);
-  for (int level = log_u_; level > 0; --level) {
-    const double left = std::clamp(CellEstimate(level - 1, cell << 1), 0.0, remaining);
-    if (target <= left) {
-      cell <<= 1;
-      remaining = left;
-    } else {
-      target -= left;
-      remaining -= left;
-      cell = (cell << 1) | 1;
-    }
-  }
-  return cell;
-}
-
 std::string DyadicQuantileBase::Serialize() const {
   SerdeWriter w;
   w.U32(static_cast<uint32_t>(log_u_));

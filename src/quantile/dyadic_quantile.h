@@ -1,6 +1,6 @@
 // Common machinery of the turnstile quantile algorithms (section 3 of the
 // paper): a frequency estimator per dyadic level, rank queries by prefix
-// decomposition, quantile queries by descending the dyadic tree.
+// decomposition, quantile queries by binary search over the universe.
 
 #ifndef STREAMQ_QUANTILE_DYADIC_QUANTILE_H_
 #define STREAMQ_QUANTILE_DYADIC_QUANTILE_H_
@@ -29,13 +29,6 @@ class DyadicQuantileBase : public QuantileSketch {
   /// (log_u, width, depth, seed) -- identical seeds make the per-level hash
   /// functions identical, which counter addition relies on.
   bool Mergeable() const override { return true; }
-
-  /// Alternative query (not in the paper): descend the dyadic tree keeping
-  /// a running mass bound and clamping each child estimate into
-  /// [0, remaining]. The clamp suppresses much of Count-Min's inflation, so
-  /// DCM in particular answers markedly better this way; see the
-  /// "descent vs binary search" note in EXPERIMENTS.md.
-  uint64_t QueryByDescent(double phi);
 
   int64_t EstimateRank(uint64_t value) override;
   uint64_t Count() const override { return static_cast<uint64_t>(n_); }

@@ -151,9 +151,9 @@ enum class SnapshotType : uint16_t {
   kClusterShipment = 35,
   kClusterAck = 36,
   kClusterNodeMeta = 37,
-  // Observability (src/obs/): a full MetricsRegistry snapshot, and the
-  // accuracy audit plane's reservoir shadow (sample + generator state).
-  kMetricsRegistry = 48,
+  // Observability (src/obs/): the accuracy audit plane's reservoir shadow
+  // (sample + generator state). Tag 48 once framed a metrics registry
+  // snapshot; do not reuse it.
   kAuditShadow = 49,
   // Network service tier (src/net/): request/response frames on the
   // client <-> server byte stream. The frame header doubles as the wire

@@ -183,32 +183,6 @@ TEST(RssQuantileTest, GuaranteeCostDwarfsDcs) {
   EXPECT_GT(rss.MemoryBytes(), 10 * dcs.MemoryBytes());
 }
 
-TEST(DyadicQuantileTest, DescentQueryAlsoWithinEps) {
-  // QueryByDescent is our clamped-descent alternative to the paper's binary
-  // search; both must meet the eps target, and the descent is particularly
-  // kind to Count-Min (the clamp suppresses its one-sided inflation).
-  const double eps = 0.01;
-  DatasetSpec spec;
-  spec.n = 60'000;
-  spec.log_universe = 20;
-  spec.seed = 43;
-  const auto data = GenerateDataset(spec);
-  const ExactOracle oracle(data);
-  Dcm dcm(eps, 20, 7, 3);
-  Dcs dcs(eps, 20, 7, 3);
-  for (uint64_t v : data) {
-    dcm.Insert(v);
-    dcs.Insert(v);
-  }
-  for (double phi : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    for (DyadicQuantileBase* s : {static_cast<DyadicQuantileBase*>(&dcm),
-                                  static_cast<DyadicQuantileBase*>(&dcs)}) {
-      EXPECT_LE(oracle.QuantileError(s->Query(phi), phi), eps);
-      EXPECT_LE(oracle.QuantileError(s->QueryByDescent(phi), phi), eps);
-    }
-  }
-}
-
 TEST(DyadicQuantileTest, OutOfUniverseValuesAreRejected) {
   // Feeding values beyond 2^log_u must not corrupt state (release builds
   // previously risked an out-of-bounds write in the exact-level counters):

@@ -1,11 +1,12 @@
-// Network tier over real TCP: reactor round-trips on both backends
-// (epoll and the portable poll fallback), 16 concurrent pipelined clients
+// Network tier over real TCP: a reactor round-trip, the reactor's retry of
+// sessions parked on a full ingest ring, 16 concurrent pipelined clients
 // with corrupt frames interleaved among them, and the acceptance-criteria
 // fault test: a server kill (simulated power loss via FaultyStorage) must
 // lose nothing an acked FLUSH covered, across WAL recovery on restart.
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -30,12 +31,9 @@ using namespace std::chrono_literals;
 /// Server + reactor on a background thread, bound to an ephemeral port.
 class TcpFixture {
  public:
-  explicit TcpFixture(ServerOptions server_options = {},
-                      bool force_poll = false) {
+  explicit TcpFixture(ServerOptions server_options = {}) {
     server_ = std::make_unique<StreamqServer>(std::move(server_options));
-    ReactorOptions options;
-    options.force_poll = force_poll;
-    reactor_ = Reactor::Create(server_.get(), options);
+    reactor_ = Reactor::Create(server_.get(), ReactorOptions{});
     if (reactor_ == nullptr) return;
     thread_ = std::thread([this] { reactor_->Run(); });
   }
@@ -52,7 +50,6 @@ class TcpFixture {
   bool ok() const { return reactor_ != nullptr; }
   uint16_t port() const { return reactor_->port(); }
   StreamqServer& server() { return *server_; }
-  Reactor& reactor() { return *reactor_; }
 
   std::unique_ptr<StreamqClient> Connect() {
     ClientOptions options;
@@ -92,18 +89,66 @@ void RoundTrip(TcpFixture& fixture) {
   ASSERT_TRUE(client->Drop("rt").ok());
 }
 
-TEST(NetSocket, ReactorRoundTripEpoll) {
+TEST(NetSocket, ReactorRoundTripPollFallback) {
   TcpFixture fixture;
-#ifdef __linux__
-  EXPECT_TRUE(fixture.reactor().using_epoll());
-#endif
   RoundTrip(fixture);
 }
 
-TEST(NetSocket, ReactorRoundTripPollFallback) {
-  TcpFixture fixture(ServerOptions{}, /*force_poll=*/true);
-  EXPECT_FALSE(fixture.reactor().using_epoll());
-  RoundTrip(fixture);
+// No fd event fires when an ingest ring drains, so a parked session
+// finishes only through the reactor's parked-work retry. One 256-slot ring
+// and 4,096-value batches make every BATCH_INSERT park; the pipelined
+// FLUSH and STATS behind them must still come back in request order.
+TEST(NetSocket, ReactorRetriesParkedBatchesInOrder) {
+  constexpr int kBatches = 12;
+  constexpr uint64_t kBatchSize = 4096;
+  ServerOptions options;
+  options.ring_capacity = 256;
+  TcpFixture fixture(std::move(options));
+  ASSERT_TRUE(fixture.ok());
+  auto client = fixture.Connect();
+  ASSERT_NE(client, nullptr);
+  CreateParams params;
+  params.shards = 1;
+  ASSERT_TRUE(client->Create("parked", params).ok());
+
+  std::vector<uint64_t> ids;
+  for (int b = 0; b < kBatches; ++b) {
+    NetRequest batch;
+    batch.op = NetOp::kBatchInsert;
+    batch.stream = "parked";
+    for (uint64_t i = 0; i < kBatchSize; ++i) {
+      batch.values.push_back(static_cast<uint64_t>(b) * kBatchSize + i);
+    }
+    ids.push_back(client->Send(std::move(batch)));
+  }
+  NetRequest flush;
+  flush.op = NetOp::kFlush;
+  flush.stream = "parked";
+  ids.push_back(client->Send(std::move(flush)));
+  NetRequest stats;
+  stats.op = NetOp::kStats;
+  stats.stream = "parked";
+  ids.push_back(client->Send(std::move(stats)));
+  for (const uint64_t id : ids) ASSERT_NE(id, 0u) << client->error();
+
+  std::vector<NetResponse> responses;
+  ASSERT_TRUE(client->DrainAll(&responses)) << client->error();
+  ASSERT_EQ(responses.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(responses[i].id, ids[i]) << "response " << i << " out of order";
+    ASSERT_TRUE(responses[i].ok()) << responses[i].message;
+  }
+  for (int b = 0; b < kBatches; ++b) {
+    EXPECT_EQ(responses[b].value, kBatchSize) << "batch " << b;
+  }
+  EXPECT_EQ(responses.back().stats.count, kBatches * kBatchSize);
+
+  const std::string metrics = fixture.server().MetricsText();
+  const std::string sample = "\nstreamq_net_parks_total ";
+  const size_t at = metrics.find(sample);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::strtoull(metrics.c_str() + at + sample.size(), nullptr, 10),
+            0u);
 }
 
 TEST(NetSocket, HttpScrapeOverTcp) {

@@ -162,75 +162,6 @@ TEST(ObsRegistryTest, ResetAllZeroesButKeepsRegistrations) {
   EXPECT_EQ(reg.HistogramCount(), 1u);
 }
 
-MetricsRegistry PopulatedRegistry() {
-  MetricsRegistry reg;
-  reg.GetCounter("updates").Add(12345);
-  reg.GetCounter("empty");
-  reg.GetGauge("memory").Set(1 << 20);
-  reg.GetGauge("delta").Set(-99);
-  Histogram& h = reg.GetHistogram("latency");
-  for (uint64_t v : {0, 1, 5, 5, 1000, 1 << 30}) h.Record(v);
-  return reg;
-}
-
-TEST(ObsRegistrySerdeTest, SnapshotRoundTripsExactly) {
-  MetricsRegistry reg = PopulatedRegistry();
-  const std::string frame = reg.Snapshot();
-
-  MetricsRegistry restored;
-  restored.GetCounter("stale").Add(7);  // replaced by Restore
-  ASSERT_TRUE(restored.Restore(frame));
-
-  EXPECT_EQ(restored.CounterCount(), 2u);
-  EXPECT_EQ(restored.GaugeCount(), 2u);
-  EXPECT_EQ(restored.HistogramCount(), 1u);
-  EXPECT_EQ(restored.FindCounter("stale"), nullptr);
-  ASSERT_NE(restored.FindCounter("updates"), nullptr);
-  EXPECT_EQ(restored.FindCounter("updates")->value(), 12345u);
-  ASSERT_NE(restored.FindGauge("delta"), nullptr);
-  EXPECT_EQ(restored.FindGauge("delta")->value(), -99);
-
-  const Histogram* h = restored.FindHistogram("latency");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 6u);
-  EXPECT_EQ(h->min(), 0u);
-  EXPECT_EQ(h->max(), uint64_t{1} << 30);
-  for (int i = 0; i < Histogram::kBucketCount; ++i) {
-    EXPECT_EQ(h->bucket(i), reg.GetHistogram("latency").bucket(i));
-  }
-  EXPECT_EQ(restored.DebugString(), reg.DebugString());
-  // A restored registry snapshots to the identical frame.
-  EXPECT_EQ(restored.Snapshot(), frame);
-}
-
-TEST(ObsRegistrySerdeTest, EveryByteFlipIsRejectedAndLeavesRegistryIntact) {
-  MetricsRegistry reg = PopulatedRegistry();
-  const std::string frame = reg.Snapshot();
-
-  for (size_t i = 0; i < frame.size(); ++i) {
-    std::string bad = frame;
-    bad[i] = static_cast<char>(bad[i] ^ 0x5a);
-    MetricsRegistry victim;
-    victim.GetCounter("sentinel").Add(1);
-    EXPECT_FALSE(victim.Restore(bad)) << "byte " << i;
-    // Failed restores must not touch the registry.
-    ASSERT_NE(victim.FindCounter("sentinel"), nullptr);
-    EXPECT_EQ(victim.FindCounter("sentinel")->value(), 1u);
-  }
-}
-
-TEST(ObsRegistrySerdeTest, TruncationAndGarbageAreRejected) {
-  MetricsRegistry reg = PopulatedRegistry();
-  const std::string frame = reg.Snapshot();
-  MetricsRegistry victim;
-  for (size_t len : {size_t{0}, size_t{1}, frame.size() / 2,
-                     frame.size() - 1}) {
-    EXPECT_FALSE(victim.Restore(frame.substr(0, len))) << "len " << len;
-  }
-  EXPECT_FALSE(victim.Restore(frame + "x"));
-  EXPECT_FALSE(victim.Restore("not a frame at all"));
-}
-
 // --- sketch instrumentation ---------------------------------------------
 
 TEST(SketchMetricsTest, BaseClassCountsUpdatesAndQueries) {
@@ -348,12 +279,6 @@ TEST(MonitorMetricsTest, PublishMetricsReportsTransportAndCoordinator) {
   EXPECT_EQ(reg.FindCounter("monitor.coordinator.accepted")->value(),
             monitor.coordinator().stats().accepted);
   EXPECT_GT(reg.FindCounter("monitor.coordinator.accepted")->value(), 0u);
-
-  // The published registry survives the same framed serde as everything
-  // else in the repo.
-  MetricsRegistry copy;
-  ASSERT_TRUE(copy.Restore(reg.Snapshot()));
-  EXPECT_EQ(copy.DebugString(), reg.DebugString());
 }
 
 }  // namespace
