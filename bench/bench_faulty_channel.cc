@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "distributed/monitor.h"
+#include "cluster/monitor.h"
 #include "exact/exact_oracle.h"
 #include "harness.h"
 #include "util/random.h"

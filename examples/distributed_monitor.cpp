@@ -12,7 +12,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "distributed/monitor.h"
+#include "cluster/monitor.h"
 #include "util/random.h"
 
 int main() {

@@ -1,4 +1,4 @@
-#include "distributed/channel.h"
+#include "cluster/channel.h"
 
 #include <algorithm>
 #include <utility>

@@ -1,5 +1,5 @@
-// Transport abstraction between monitor sites and the coordinator, with a
-// deterministic, seed-driven fault injector.
+// Transport abstraction between senders (monitor sites, cluster nodes) and
+// the coordinator, with a deterministic, seed-driven fault injector.
 //
 // Everything crossing the channel is an opaque byte string (a framed
 // snapshot, see util/serde.h); the channel neither parses nor trusts it.
@@ -17,8 +17,8 @@
 //                   check on the receiving side must catch).
 // plus a uniform per-copy delivery delay in [min_delay, max_delay] ticks.
 
-#ifndef STREAMQ_DISTRIBUTED_CHANNEL_H_
-#define STREAMQ_DISTRIBUTED_CHANNEL_H_
+#ifndef STREAMQ_CLUSTER_CHANNEL_H_
+#define STREAMQ_CLUSTER_CHANNEL_H_
 
 #include <cstdint>
 #include <string>
@@ -94,4 +94,4 @@ class FaultyChannel {
 
 }  // namespace streamq
 
-#endif  // STREAMQ_DISTRIBUTED_CHANNEL_H_
+#endif  // STREAMQ_CLUSTER_CHANNEL_H_

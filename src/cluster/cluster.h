@@ -33,7 +33,7 @@
 
 #include "cluster/coordinator.h"
 #include "cluster/ingest_node.h"
-#include "distributed/channel.h"
+#include "cluster/channel.h"
 #include "obs/metrics.h"
 #include "stream/update.h"
 

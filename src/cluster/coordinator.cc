@@ -4,10 +4,24 @@
 #include <utility>
 
 #include "cluster/wire.h"
-#include "distributed/ack.h"
 #include "obs/trace.h"
+#include "quantile/cash_register.h"
 
 namespace streamq::cluster {
+
+namespace {
+
+/// Rung 6. A mergeable config accepts what it can merge. A non-mergeable
+/// one accepts only a summary of its own algorithm, and only for GKArray,
+/// whose tuples the union path reads.
+bool Compatible(const QuantileSketch& reference,
+                const QuantileSketch& received) {
+  if (reference.Mergeable()) return reference.CanMerge(received);
+  return dynamic_cast<const GkArray*>(&reference) != nullptr &&
+         dynamic_cast<const GkArray*>(&received) != nullptr;
+}
+
+}  // namespace
 
 ClusterCoordinator::ClusterCoordinator(
     const ClusterCoordinatorOptions& options)
@@ -51,15 +65,14 @@ void ClusterCoordinator::HandleShipment(const std::string& bytes,
     ++stats_.rejected_malformed;
     return;
   }
-  // Rung 6: a sketch we could not merge at query time is useless -- and a
-  // symptom of a misconfigured node -- so refuse it up front.
-  if (!reference_->CanMerge(*received)) {
+  // Rung 6: a sketch we could not answer from at query time is useless --
+  // and a symptom of a misconfigured sender -- so refuse it up front.
+  if (!Compatible(*reference_, *received)) {
     ++stats_.rejected_incompatible;
     return;
   }
   view.epoch = shipment.epoch;
   view.count = shipment.count;
-  view.durable_seq = shipment.durable_seq;
   view.sketch = std::move(received);
   view.last_accept_tick = now;
   view.next_probe_at = 0;
@@ -73,7 +86,7 @@ void ClusterCoordinator::SendAck(int node, uint64_t now,
   AckFrame ack;
   ack.node = static_cast<uint32_t>(node);
   ack.seq = views_[static_cast<size_t>(node)].epoch;
-  ack_tx.Send(now, EncodeAck(SnapshotType::kClusterAck, ack));
+  ack_tx.Send(now, EncodeAck(ack));
   ++stats_.acks_sent;
 }
 
@@ -92,7 +105,7 @@ void ClusterCoordinator::Tick(uint64_t now,
     probe.node = static_cast<uint32_t>(i);
     probe.seq = view.epoch;
     probe.flags = kAckFlagReship;
-    ack_tx[i]->Send(now, EncodeAck(SnapshotType::kClusterAck, probe));
+    ack_tx[i]->Send(now, EncodeAck(probe));
     ++stats_.probes_sent;
     STREAMQ_TRACE_INSTANT(obs::TracePoint::kClusterProbe, i);
     view.probe_backoff =
@@ -112,10 +125,13 @@ bool ClusterCoordinator::Suspect(int node, uint64_t now) const {
          now - view.last_accept_tick > options_.stale_after;
 }
 
-std::unique_ptr<QuantileSketch> ClusterCoordinator::MergeScope(
+ClusterCoordinator::Scoped ClusterCoordinator::CollectScope(
     uint64_t now, QueryScope scope, ClusterAnswer* answer) {
   STREAMQ_TRACE_SPAN(obs::TracePoint::kClusterMerge, views_.size());
-  std::unique_ptr<QuantileSketch> merged = MakeSketch(options_.sketch);
+  const bool merge = reference_->Mergeable();
+  Scoped scoped;
+  if (merge) scoped.merged = MakeSketch(options_.sketch);
+  std::vector<WeightedElement<uint64_t>> tuples;
   for (size_t i = 0; i < views_.size(); ++i) {
     const NodeView& view = views_[i];
     const bool suspect = Suspect(static_cast<int>(i), now);
@@ -125,7 +141,14 @@ std::unique_ptr<QuantileSketch> ClusterCoordinator::MergeScope(
       answer->partial = true;
       continue;
     }
-    if (merged->Merge(*view.sketch) != StreamqStatus::kOk) {
+    if (!merge) {
+      // Rung 6 let only GKArray summaries in.
+      static_cast<GkArray&>(*view.sketch)
+          .impl()
+          .ForEachTuple([&](uint64_t v, int64_t g, int64_t /*delta*/) {
+            tuples.push_back({v, g});
+          });
+    } else if (scoped.merged->Merge(*view.sketch) != StreamqStatus::kOk) {
       // Cannot happen for shipments past rung 6; recorded honestly if a
       // future sketch type breaks the empty-scratch merge assumption.
       answer->partial = true;
@@ -134,25 +157,35 @@ std::unique_ptr<QuantileSketch> ClusterCoordinator::MergeScope(
     ++answer->nodes_merged;
     answer->reported_count += view.count;
   }
-  return answer->nodes_merged > 0 ? std::move(merged) : nullptr;
+  if (!merge) scoped.tuples.emplace(std::move(tuples));
+  return scoped;
+}
+
+uint64_t ClusterCoordinator::Scoped::Quantile(double phi) {
+  if (merged != nullptr) return merged->Query(phi);
+  if (tuples->Empty()) return 0;
+  return tuples->Quantile(phi * static_cast<double>(tuples->TotalWeight()));
+}
+
+uint64_t ClusterCoordinator::Scoped::Rank(uint64_t value) {
+  const int64_t rank = merged != nullptr ? merged->EstimateRank(value)
+                                         : tuples->EstimateRank(value);
+  return static_cast<uint64_t>(std::max<int64_t>(0, rank));
 }
 
 ClusterAnswer ClusterCoordinator::Query(double phi, uint64_t now,
                                         QueryScope scope) {
   ClusterAnswer answer;
-  std::unique_ptr<QuantileSketch> merged = MergeScope(now, scope, &answer);
-  if (merged != nullptr) answer.value = merged->Query(phi);
+  Scoped scoped = CollectScope(now, scope, &answer);
+  if (answer.nodes_merged > 0) answer.value = scoped.Quantile(phi);
   return answer;
 }
 
 ClusterAnswer ClusterCoordinator::Rank(uint64_t value, uint64_t now,
                                        QueryScope scope) {
   ClusterAnswer answer;
-  std::unique_ptr<QuantileSketch> merged = MergeScope(now, scope, &answer);
-  if (merged != nullptr) {
-    answer.value =
-        static_cast<uint64_t>(std::max<int64_t>(0, merged->EstimateRank(value)));
-  }
+  Scoped scoped = CollectScope(now, scope, &answer);
+  if (answer.nodes_merged > 0) answer.value = scoped.Rank(value);
   return answer;
 }
 
@@ -161,7 +194,7 @@ obs::AuditReport ClusterCoordinator::AuditGlobal(
     uint64_t now, QueryScope scope) {
   if (auditor_ == nullptr) return obs::AuditReport{};
   ClusterAnswer answer;
-  std::unique_ptr<QuantileSketch> merged = MergeScope(now, scope, &answer);
+  Scoped scoped = CollectScope(now, scope, &answer);
   std::unique_ptr<obs::ReservoirShadow> shadow = obs::ReservoirShadow::Merged(
       node_shadows, audit_config_.reservoir,
       /*seed=*/0x636c7573ull + auditor_->rounds());
@@ -169,13 +202,13 @@ obs::AuditReport ClusterCoordinator::AuditGlobal(
     shadow = std::make_unique<obs::ReservoirShadow>(audit_config_.reservoir,
                                                     0x636c7573ull);
   }
-  if (merged == nullptr) {
+  if (answer.nodes_merged == 0) {
     // Nothing merged (no node ever reported): audit an empty-count round
     // so the report is honestly invalid instead of comparing against 0s.
     return auditor_->Audit([](double) { return uint64_t{0}; }, 0, *shadow);
   }
   return auditor_->Audit(
-      [&merged](double phi) { return merged->Query(phi); },
+      [&scoped](double phi) { return scoped.Quantile(phi); },
       answer.reported_count, *shadow);
 }
 
@@ -186,7 +219,6 @@ ClusterNodeStatus ClusterCoordinator::Status(int node, uint64_t now) const {
   status.suspect = Suspect(node, now);
   status.epoch = view.epoch;
   status.count = view.count;
-  status.durable_seq = view.durable_seq;
   status.last_accept_tick = view.last_accept_tick;
   status.staleness_ticks =
       now > view.last_accept_tick ? now - view.last_accept_tick : 0;

@@ -1,14 +1,19 @@
-// Coordinator half of the cluster data path: validates epoch-numbered
-// node shipments, keeps the newest accepted sketch per node, and answers
-// cluster-wide quantile and rank queries by merging them.
+// Coordinator of the shipping protocol: validates epoch-numbered
+// shipments, keeps the newest accepted sketch per sender, and answers
+// global quantile and rank queries over them. It serves both tiers: the
+// cluster's IngestNodes and the monitor's GKArray sites.
 //
-// Where MonitorCoordinator (src/distributed/coordinator.h) samples GK
-// tuples into a weighted view, the ClusterCoordinator relies on the
-// sketches being *mergeable* (Random, MRL99, FastQDigest, DCM, DCS): a
-// query merges the per-node sketches -- in node-id order, so the merged
-// result is deterministic -- into a fresh scratch sketch built from the
-// shared config, which then carries the usual mergeable-summary eps * n
-// bound over the union of the merged nodes' streams.
+// How it answers depends on the shared config:
+//
+//  * Mergeable (Random, MRL99, FastQDigest, DCM, DCS): a query merges the
+//    per-node sketches -- in node-id order, so the merged result is
+//    deterministic -- into a fresh scratch sketch built from the shared
+//    config, which then carries the usual mergeable-summary eps * n bound
+//    over the union of the merged nodes' streams.
+//  * GKArray, the one non-mergeable summary any sender ships: a query
+//    answers from the weighted union of every scoped node's (v, g)
+//    tuples, taking the phi-quantile at phi times the union's total
+//    weight.
 //
 // Defence ladder on every shipment, in order (each rung leaves all node
 // state untouched on failure):
@@ -17,7 +22,9 @@
 //   3. epoch dedup (duplicates/stale reorders are re-acked, not applied),
 //   4. nested sketch frame decode (its own CRC + exact parse),
 //   5. count cross-check (decoded sketch vs sender's claim),
-//   6. merge-compatibility check against the shared config.
+//   6. compatibility with the shared config: a sketch the config can merge,
+//      or, for a non-mergeable config, a summary of the configured
+//      algorithm.
 //
 // Degradation is explicit, never silent: per-node staleness (ticks since
 // the last accepted shipment) is tracked, silent nodes become "suspect"
@@ -32,13 +39,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "distributed/channel.h"
-#include "distributed/site.h"
+#include "cluster/channel.h"
+#include "cluster/shipping.h"
 #include "obs/audit.h"
 #include "quantile/factory.h"
+#include "quantile/weighted_sample.h"
 
 namespace streamq::cluster {
 
@@ -79,7 +88,6 @@ struct ClusterNodeStatus {
   bool suspect = false;
   uint64_t epoch = 0;
   uint64_t count = 0;
-  uint64_t durable_seq = 0;
   uint64_t last_accept_tick = 0;
   uint64_t staleness_ticks = 0;  ///< now - last_accept_tick
 };
@@ -89,7 +97,7 @@ struct ClusterCoordinatorStats {
   size_t rejected_corrupt = 0;       ///< frame validation failed
   size_t rejected_malformed = 0;     ///< parse/range/count-mismatch failed
   size_t rejected_stale = 0;         ///< epoch dedup (re-acked)
-  size_t rejected_incompatible = 0;  ///< sketch not mergeable with config
+  size_t rejected_incompatible = 0;  ///< sketch the config cannot answer from
   size_t acks_sent = 0;
   size_t probes_sent = 0;
 };
@@ -131,8 +139,8 @@ class ClusterCoordinator {
   /// True when options.audit.enabled built an auditor.
   bool AuditEnabled() const { return auditor_ != nullptr; }
 
-  /// Audits the *global* merged answer -- the same MergeScope merge every
-  /// Query runs -- against the merged per-node shadows (each an exact
+  /// Audits the *global* answer -- from the same scope every Query
+  /// answers from -- against the merged per-node shadows (each an exact
   /// uniform sample of its node's stream; the harness collects them from
   /// the live pipelines). This is what catches merge-induced error
   /// inflation: every rung of the merge path is exercised, not the node
@@ -155,21 +163,29 @@ class ClusterCoordinator {
     std::unique_ptr<QuantileSketch> sketch;  // newest accepted; null = none
     uint64_t epoch = 0;
     uint64_t count = 0;
-    uint64_t durable_seq = 0;
     uint64_t last_accept_tick = 0;
     uint64_t next_probe_at = 0;
     uint64_t probe_backoff = 0;
   };
 
   void SendAck(int node, uint64_t now, FaultyChannel& ack_tx);
-  /// Merges the scoped node sketches (node-id order) into a fresh sketch,
-  /// filling the answer's coverage fields. nullptr when nothing merged.
-  std::unique_ptr<QuantileSketch> MergeScope(uint64_t now, QueryScope scope,
-                                             ClusterAnswer* answer);
+  /// What one query scope answers from: the node-id-ordered merge into a
+  /// fresh sketch (mergeable config), or the weighted union of the GKArray
+  /// tuples (non-mergeable config).
+  struct Scoped {
+    std::unique_ptr<QuantileSketch> merged;
+    std::optional<WeightedSampleView<uint64_t>> tuples;
+    uint64_t Quantile(double phi);
+    uint64_t Rank(uint64_t value);
+  };
+
+  /// Collects the scoped node summaries, filling the answer's coverage
+  /// fields. Answers only when answer->nodes_merged > 0.
+  Scoped CollectScope(uint64_t now, QueryScope scope, ClusterAnswer* answer);
 
   ClusterCoordinatorOptions options_;
-  /// Empty sketch from the shared config: the merge-compatibility
-  /// reference for rung 6 and the prototype of every query scratch.
+  /// Empty sketch from the shared config: the compatibility reference for
+  /// rung 6, and whether queries merge or take the weighted union.
   std::unique_ptr<QuantileSketch> reference_;
   std::vector<NodeView> views_;
   ClusterCoordinatorStats stats_;

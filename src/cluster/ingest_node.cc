@@ -1,10 +1,8 @@
 #include "cluster/ingest_node.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "cluster/wire.h"
-#include "distributed/ack.h"
 #include "durability/storage.h"
 #include "obs/trace.h"
 #include "quantile/factory.h"
@@ -34,14 +32,13 @@ std::unique_ptr<IngestNode> IngestNode::Create(
     NodeMeta meta;
     if (d.storage->ReadFile(MetaPath(options.pipeline), &bytes) &&
         DecodeNodeMeta(bytes, &meta) && meta.node == options.node) {
-      node->last_sent_epoch_ = meta.last_sent_epoch;
-      node->last_acked_epoch_ = meta.last_sent_epoch;
+      node->rules_.Resume(meta.last_sent_epoch);
     }
   }
   if (node->pipeline_->recovery().recovered) {
     // Re-offer the recovered state proactively instead of waiting for the
     // count trigger or a coordinator probe.
-    node->needs_reship_ = true;
+    node->rules_.RequestReship();
     STREAMQ_TRACE_INSTANT(obs::TracePoint::kClusterRecover, options.node);
   }
   return node;
@@ -49,7 +46,9 @@ std::unique_ptr<IngestNode> IngestNode::Create(
 
 IngestNode::IngestNode(const IngestNodeOptions& options,
                        std::unique_ptr<ingest::IngestPipeline> pipeline)
-    : options_(options), pipeline_(std::move(pipeline)) {}
+    : options_(options),
+      pipeline_(std::move(pipeline)),
+      rules_(options.theta, options.retry) {}
 
 IngestNode::~IngestNode() = default;
 
@@ -60,10 +59,7 @@ uint64_t IngestNode::ObservedCount() const {
 void IngestNode::Observe(const Update& update, uint64_t now,
                          FaultyChannel& tx) {
   pipeline_->Push(update);
-  const uint64_t grown = static_cast<uint64_t>(
-      options_.theta * static_cast<double>(last_shipped_count_));
-  const uint64_t trigger = last_shipped_count_ + std::max<uint64_t>(1, grown);
-  if (ObservedCount() >= trigger) Ship(now, tx, /*retransmit=*/false);
+  if (rules_.Triggered(ObservedCount())) Ship(now, tx, /*retransmit=*/false);
 }
 
 void IngestNode::Ship(uint64_t now, FaultyChannel& tx, bool retransmit) {
@@ -74,56 +70,30 @@ void IngestNode::Ship(uint64_t now, FaultyChannel& tx, bool retransmit) {
   uint64_t count = 0;
   std::unique_ptr<QuantileSketch> clone = pipeline_->CloneView(&count);
   if (clone == nullptr) return;  // nothing published yet; nothing to say
-  STREAMQ_TRACE_SPAN(obs::TracePoint::kClusterShip, last_sent_epoch_ + 1);
+  STREAMQ_TRACE_SPAN(obs::TracePoint::kClusterShip,
+                     rules_.last_sent_epoch() + 1);
   ClusterShipment shipment;
   shipment.node = options_.node;
-  shipment.epoch = ++last_sent_epoch_;
-  shipment.durable_seq = pipeline_->DurableSeq();
+  shipment.epoch = rules_.Shipped(now, ObservedCount(), retransmit);
   shipment.count = count;
   shipment.sketch_frame = SerializeSketch(*clone);
   // Persist the new horizon BEFORE the bytes can reach the wire: a crash
   // between the two leaves a burned epoch, never a reused one.
   PersistMeta();
   tx.Send(now, EncodeShipment(shipment));
-  last_shipped_count_ = ObservedCount();
-  needs_reship_ = false;
-  if (retransmit) {
-    backoff_ = std::min(
-        std::max(backoff_, options_.retry.initial_backoff) * 2,
-        options_.retry.max_backoff);
-    ++stats_.retransmits;
-  } else {
-    backoff_ = options_.retry.initial_backoff;
-  }
-  next_retry_at_ = now + backoff_;
-  ++stats_.shipments;
 }
 
 void IngestNode::HandleAck(const std::string& bytes) {
   AckFrame ack;
-  if (!DecodeAck(SnapshotType::kClusterAck, bytes, &ack) ||
-      ack.node != options_.node) {
-    ++stats_.rejected_acks;
-    return;
-  }
-  if (ack.seq > last_sent_epoch_) {
-    // The coordinator has accepted epochs this incarnation never issued:
-    // state from a pre-crash life. Fast-forward past its horizon and
-    // re-ship so the next accepted epoch is provably newer.
-    last_sent_epoch_ = ack.seq;
-    last_acked_epoch_ = ack.seq;
-    needs_reship_ = true;
-    PersistMeta();
-  } else if (ack.seq > last_acked_epoch_) {
-    last_acked_epoch_ = ack.seq;
-  }
-  if ((ack.flags & kAckFlagReship) != 0) needs_reship_ = true;
+  if (!DecodeAck(bytes, &ack) || ack.node != options_.node) return;
+  // A fast-forward means the coordinator has accepted epochs this
+  // incarnation never issued (state from a pre-crash life); persist the
+  // new horizon so the next accepted epoch is provably newer.
+  if (rules_.Acked(ack)) PersistMeta();
 }
 
 void IngestNode::Tick(uint64_t now, FaultyChannel& tx) {
-  if (needs_reship_ || (HasUnacked() && now >= next_retry_at_)) {
-    Ship(now, tx, /*retransmit=*/true);
-  }
+  rules_.Tick(now, [&](bool retransmit) { Ship(now, tx, retransmit); });
 }
 
 void IngestNode::ShipComplete(uint64_t now, FaultyChannel& tx) {
@@ -135,8 +105,7 @@ void IngestNode::PersistMeta() {
   if (!d.enabled || d.storage == nullptr) return;
   NodeMeta meta;
   meta.node = options_.node;
-  meta.last_sent_epoch = last_sent_epoch_;
-  meta.durable_seq = pipeline_->DurableSeq();
+  meta.last_sent_epoch = rules_.last_sent_epoch();
   // Best effort: on dead storage (post-crash) this fails harmlessly and
   // the next incarnation resyncs via the ack fast-forward instead.
   durability::AtomicWriteFile(*d.storage, MetaPath(options_.pipeline),

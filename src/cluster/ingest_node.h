@@ -1,27 +1,18 @@
 // Node half of the cluster data path: a full durable ingest pipeline
 // (src/ingest/) that ships its merged view to the ClusterCoordinator.
 //
-// Where MonitorSite (src/distributed/site.h) observes into a single
-// in-memory GKArray, an IngestNode runs the production pipeline -- sharded
-// workers, RCU query view and, when configured, the WAL + checkpoint
-// durability tier -- and ships *mergeable* sketches, so the coordinator
-// can answer exact-count cluster-wide quantiles instead of sampling.
+// Where a MonitorSite (site.h) observes into a single in-memory GKArray,
+// an IngestNode runs the production pipeline -- sharded workers, RCU query
+// view and, when configured, the WAL + checkpoint durability tier -- and
+// ships *mergeable* sketches, so the coordinator can answer exact-count
+// cluster-wide quantiles by merging them.
 //
-// Shipping protocol (count-triggered, hardened like the monitor tier):
-//
-//  * A node ships whenever its observed count has grown by a factor
-//    (1 + theta) since the last shipment. Each shipment is cumulative --
-//    the node's complete current sketch under a fresh, monotone epoch --
-//    so one successful delivery always brings the coordinator fully up to
-//    date regardless of what the channel lost before it.
-//  * Unacked shipments retransmit with capped exponential backoff (virtual
-//    ticks, like everything in the fault harness).
-//  * Acks are validated AckFrames (distributed/ack.h). An ack whose epoch
-//    is beyond anything this incarnation sent means the coordinator holds
-//    state from a pre-crash life: the node fast-forwards its epoch horizon
-//    past it and re-ships, so a restart resynchronises with no extra
-//    protocol. An ack carrying kAckFlagReship (the coordinator's staleness
-//    probe) likewise forces a fresh shipment.
+// Shipping follows the rules both senders share (shipping.h): the count
+// trigger, a fresh epoch per shipment, capped-backoff retransmits, the ack
+// fast-forward and the reship flag. An ack carrying kAckFlagReship (the
+// coordinator's staleness probe) forces a fresh shipment. What is the
+// node's own is the body of a shipment: it flushes the pipeline, clones
+// the view, and persists NodeMeta before the bytes reach the wire.
 //
 // Failover: a durable node persists a tiny NodeMeta record (wire.h) via
 // the atomic write-tmp/sync/rename protocol on every epoch it issues, so
@@ -43,8 +34,8 @@
 #include <memory>
 #include <string>
 
-#include "distributed/channel.h"
-#include "distributed/site.h"
+#include "cluster/channel.h"
+#include "cluster/shipping.h"
 #include "ingest/ingest_pipeline.h"
 #include "stream/update.h"
 
@@ -58,16 +49,9 @@ struct IngestNodeOptions {
   /// coordinator will reject their shipments as merge-incompatible.
   /// durability.dir should be unique per node when durability is on.
   ingest::IngestOptions pipeline;
-  /// Count-growth shipping trigger: ship when observed count reaches
-  /// (1 + theta) * count at last shipment.
+  /// Count-growth shipping trigger (shipping.h).
   double theta = 0.05;
   RetryPolicy retry;
-};
-
-struct IngestNodeStats {
-  size_t shipments = 0;     ///< shipments offered (retransmits included)
-  size_t retransmits = 0;   ///< backoff / reship re-offers alone
-  size_t rejected_acks = 0; ///< acks dropped (corrupt frame or wrong node)
 };
 
 class IngestNode {
@@ -86,11 +70,12 @@ class IngestNode {
   /// the count trigger fires.
   void Observe(const Update& update, uint64_t now, FaultyChannel& tx);
 
-  /// Handles one (possibly corrupted) ack delivery.
+  /// Handles one (possibly corrupted) ack delivery. A corrupt ack, or one
+  /// addressed to another node, is dropped.
   void HandleAck(const std::string& bytes);
 
-  /// Advances virtual time: retransmits when a reship is pending or an
-  /// unacked shipment's backoff deadline has passed.
+  /// Advances virtual time: ships a requested reship, or retransmits when
+  /// an unacked shipment's backoff deadline has passed.
   void Tick(uint64_t now, FaultyChannel& tx);
 
   /// Flushes the pipeline and ships the complete current state under a
@@ -112,22 +97,18 @@ class IngestNode {
     return pipeline_->recovery();
   }
 
-  bool HasUnacked() const {
-    return needs_reship_ || last_acked_epoch_ < last_sent_epoch_;
-  }
-
   /// True when the coordinator provably holds this node's complete state:
   /// the newest epoch is acked and it covered every observed update. This
   /// is epoch-based on purpose -- it stays meaningful for turnstile
   /// streams, where the sketch count (net of deletions) and the update
   /// count diverge.
   bool FullyAcked() const {
-    return !HasUnacked() && last_shipped_count_ == ObservedCount();
+    return !rules_.HasUnacked() &&
+           rules_.last_shipped_count() == ObservedCount();
   }
 
   uint32_t id() const { return options_.node; }
-  uint64_t last_sent_epoch() const { return last_sent_epoch_; }
-  const IngestNodeStats& stats() const { return stats_; }
+  uint64_t last_sent_epoch() const { return rules_.last_sent_epoch(); }
 
   /// The node's pipeline, for local queries and metrics. The shipping
   /// bookkeeping is bypassed -- do not push through it directly.
@@ -145,13 +126,7 @@ class IngestNode {
 
   IngestNodeOptions options_;
   std::unique_ptr<ingest::IngestPipeline> pipeline_;
-  uint64_t last_shipped_count_ = 0;
-  uint64_t last_sent_epoch_ = 0;
-  uint64_t last_acked_epoch_ = 0;
-  uint64_t next_retry_at_ = 0;
-  uint64_t backoff_ = 0;
-  bool needs_reship_ = false;
-  IngestNodeStats stats_;
+  ShippingRules rules_;
 };
 
 }  // namespace streamq::cluster

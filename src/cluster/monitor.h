@@ -8,31 +8,36 @@
 //
 // Protocol (count-triggered synchronisation, hardened for a lossy
 // transport): every site keeps a local GKArray summary with error eps/2 and
-// ships it — as real serialized, CRC32C-framed bytes — whenever its local
+// ships it -- as real serialized, CRC32C-framed bytes -- whenever its local
 // count has grown by a factor (1 + theta) since the last shipment
 // (theta = eps/2 restores the eps guarantee over a perfect channel).
-// Shipments and acknowledgments travel through FaultyChannel (see
-// channel.h), which can drop, duplicate, reorder, delay, and corrupt
+// Shipments and acknowledgments travel through one FaultyChannel pair
+// (see channel.h), which can drop, duplicate, reorder, delay, and corrupt
 // messages under a deterministic seed and a virtual clock (one tick per
-// observed element). Sites retry unacked shipments with capped exponential
-// backoff; the coordinator validates every frame, dedups by per-site
-// sequence number, and acknowledges its high-water mark. Degradation is
-// exposed honestly: StalenessBound() reports the number of observed
-// elements not yet reflected in any accepted shipment — the worst-case
-// extra rank error on top of eps * n.
+// observed element). The protocol is the cluster tier's: sites follow the
+// shared shipping rules (shipping.h), frames are the cluster's shipment
+// and ack (wire.h), and the coordinator is a ClusterCoordinator configured
+// for GKArray at eps/2, which answers from the weighted union of the
+// sites' tuples. Degradation is exposed honestly: StalenessBound() reports
+// the number of observed elements not yet reflected in any accepted
+// shipment -- the worst-case extra rank error on top of eps * n.
+//
+// The monitor keeps its own harness (in-memory GKArray sites, one shared
+// channel pair) rather than running as a QuantileCluster: a cluster node
+// runs a pipeline, which needs a mergeable summary, and the mergeable ones
+// ship about 4x the bytes of a GKArray at the same eps (DESIGN.md section
+// 13).
 
-#ifndef STREAMQ_DISTRIBUTED_MONITOR_H_
-#define STREAMQ_DISTRIBUTED_MONITOR_H_
+#ifndef STREAMQ_CLUSTER_MONITOR_H_
+#define STREAMQ_CLUSTER_MONITOR_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "distributed/channel.h"
-#include "distributed/coordinator.h"
-#include "distributed/site.h"
-#include "obs/metrics.h"
+#include "cluster/channel.h"
+#include "cluster/coordinator.h"
+#include "cluster/site.h"
 
 namespace streamq {
 
@@ -63,8 +68,7 @@ class DistributedQuantileMonitor {
   /// Coordinator-side rank estimate.
   int64_t EstimateRank(uint64_t value);
 
-  /// Total elements currently observed across all sites (sum of live site
-  /// counts; a crashed site's lost elements leave this sum).
+  /// Total elements observed across all sites.
   uint64_t GlobalCount() const;
 
   /// Worst-case extra rank error of coordinator answers beyond eps * n:
@@ -78,34 +82,11 @@ class DistributedQuantileMonitor {
   /// fully quiesced.
   bool Quiesce(uint64_t max_ticks = 200'000);
 
-  // --- crash / recovery -----------------------------------------------
-
-  /// Serialized, framed checkpoint of one site's full state.
-  std::string CheckpointSite(int site) const;
-
-  /// Simulates a site crash: all local state (summary, counts, retry
-  /// bookkeeping) is lost. The coordinator keeps the site's last accepted
-  /// summary. Elements observed since the last checkpoint are gone unless
-  /// the caller replays them after RestartSite().
-  void CrashSite(int site);
-
-  /// Restores a site from a CheckpointSite() snapshot; the revived site
-  /// re-ships its state and resynchronises its sequence horizon with the
-  /// coordinator automatically. Returns false on corrupt input (the
-  /// crashed-empty site stays in place).
-  bool RestartSite(int site, const std::string& checkpoint);
-
-  /// Elements currently observed at `site`.
-  uint64_t SiteCount(int site) const;
-
   // --- accounting ------------------------------------------------------
 
   /// Total site -> coordinator bytes offered to the wire (serialized
   /// framed summaries, retransmissions included).
   size_t CommunicationBytes() const;
-
-  /// Coordinator -> site ack bytes offered to the wire.
-  size_t AckBytes() const;
 
   /// Number of summary shipments offered so far (retransmissions included).
   size_t ShipmentCount() const;
@@ -119,14 +100,9 @@ class DistributedQuantileMonitor {
   int num_sites() const { return static_cast<int>(sites_.size()); }
   uint64_t now() const { return now_; }
 
-  /// Publishes a transport/protocol snapshot into `registry` under
-  /// "<prefix>.*": shipments, retransmits, staleness, global count, per-
-  /// direction channel stats (data.*/ack.*) and coordinator accept/reject
-  /// counters. Cold path; safe to call at any point of the run.
-  void PublishMetrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix) const;
-
-  const MonitorCoordinator& coordinator() const { return coordinator_; }
+  const cluster::ClusterCoordinator& coordinator() const {
+    return coordinator_;
+  }
   const ChannelStats& data_channel_stats() const {
     return data_channel_.stats();
   }
@@ -139,16 +115,13 @@ class DistributedQuantileMonitor {
   /// sites, and lets every site retransmit if its backoff expired.
   void Pump();
 
-  double eps_;
-  double theta_;
-  MonitorOptions options_;
   uint64_t now_ = 0;
   std::vector<std::unique_ptr<MonitorSite>> sites_;
-  MonitorCoordinator coordinator_;
+  cluster::ClusterCoordinator coordinator_;
   FaultyChannel data_channel_;
   FaultyChannel ack_channel_;
 };
 
 }  // namespace streamq
 
-#endif  // STREAMQ_DISTRIBUTED_MONITOR_H_
+#endif  // STREAMQ_CLUSTER_MONITOR_H_

@@ -1,5 +1,5 @@
 // Fault-injecting Storage decorator, the filesystem twin of the
-// distributed monitor's FaultyChannel (src/distributed/channel.h): every
+// distributed monitor's FaultyChannel (src/cluster/channel.h): every
 // failure mode is driven by one seed, so a failing run replays exactly
 // from its seed.
 //

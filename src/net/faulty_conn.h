@@ -1,5 +1,5 @@
 // Fault-injecting Conn decorator, the network-tier twin of FaultyChannel
-// (src/distributed/channel.h) and FaultyStorage (src/durability/): every
+// (src/cluster/channel.h) and FaultyStorage (src/durability/): every
 // failure mode is driven by one seed, so a failing chaos run replays
 // exactly from its seed.
 //

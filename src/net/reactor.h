@@ -59,10 +59,6 @@ class Reactor {
   /// Runs until Shutdown(). Call from the thread that owns the server.
   void Run();
 
-  /// One accept+poll+pump iteration (tests drive the loop manually).
-  /// Returns false once Shutdown() has been requested.
-  bool RunOnce(int timeout_ms);
-
   /// Requests Run() to return; safe from any thread, idempotent.
   void Shutdown();
 
@@ -79,6 +75,9 @@ class Reactor {
  private:
   Reactor(StreamqServer* server, const ReactorOptions& options);
   bool Init();
+  /// One accept+poll+pump iteration; Run() loops on it. Returns false once
+  /// Shutdown() has been requested.
+  bool RunOnce(int timeout_ms);
   void AcceptPending();
   void PumpReady(const std::vector<uint64_t>& ready);
 

@@ -4,8 +4,8 @@
 // base class counts updates and queries; the concrete summaries additionally
 // report their compaction events (COMPRESS, buffer flush, COLLAPSE, buffer
 // merge, OLS finalisation) through the macros below, passing a SketchMetrics*
-// that may be null (e.g. a GkArrayImpl used standalone by the distributed
-// monitor sites).
+// that may be null (e.g. a GkArrayImpl used standalone, outside any
+// QuantileSketch).
 
 #ifndef STREAMQ_OBS_SKETCH_METRICS_H_
 #define STREAMQ_OBS_SKETCH_METRICS_H_

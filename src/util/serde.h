@@ -141,13 +141,11 @@ enum class SnapshotType : uint16_t {
   kDcm = 7,
   kDcs = 8,
   kRss = 9,
-  // Distributed-monitor wire messages and checkpoints.
-  kMonitorShipment = 32,
-  kMonitorAck = 33,
-  kSiteCheckpoint = 34,
-  // Cluster data path (src/cluster/): epoch-numbered summary shipments
-  // node -> coordinator, validated acks coordinator -> node, and the tiny
-  // per-node epoch<->seq meta record persisted beside the WAL.
+  // Shipping protocol (src/cluster/wire.h), shared by monitor sites and
+  // cluster nodes: epoch-numbered summary shipments sender -> coordinator,
+  // validated acks coordinator -> sender, and the tiny per-node epoch
+  // horizon persisted beside the WAL. Tags 32-34 once framed the monitor's
+  // own shipments, acks and site checkpoints; do not reuse them.
   kClusterShipment = 35,
   kClusterAck = 36,
   kClusterNodeMeta = 37,

@@ -1,6 +1,7 @@
-// Cluster tier behaviour: coordinator merge accuracy, convergence under
-// channel faults, partial-answer semantics with a node down (for every
-// mergeable algorithm), staleness probing, and epoch resync on restart.
+// Cluster tier behaviour: coordinator merge accuracy, the GKArray union
+// path, convergence under channel faults, partial-answer semantics with a
+// node down (for every mergeable algorithm), staleness probing, and epoch
+// resync on restart.
 // The full crash matrix (armed storage crash points x channel faults)
 // lives in cluster_fault_matrix_test.cc.
 
@@ -9,14 +10,19 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/wire.h"
 #include "durability/storage.h"
 #include "exact/exact_oracle.h"
 #include "obs/metrics.h"
+#include "quantile/cash_register.h"
 #include "quantile/factory.h"
+#include "quantile/weighted_sample.h"
 #include "stream/generators.h"
+#include "util/random.h"
 
 namespace streamq::cluster {
 namespace {
@@ -85,6 +91,118 @@ TEST(ClusterTest, MergedAnswersMatchOracleOverPerfectChannels) {
   EXPECT_NEAR(static_cast<double>(rank.value),
               static_cast<double>(true_rank),
               kSlack * static_cast<double>(data.size()) + 1.0);
+}
+
+std::string Shipment(uint32_t node, uint64_t epoch, uint64_t count,
+                     std::string sketch_frame) {
+  ClusterShipment shipment;
+  shipment.node = node;
+  shipment.epoch = epoch;
+  shipment.count = count;
+  shipment.sketch_frame = std::move(sketch_frame);
+  return EncodeShipment(shipment);
+}
+
+// GKArray cannot merge, so a GKArray coordinator answers from the weighted
+// union of its nodes' (v, g) tuples: exactly what a WeightedSampleView over
+// the same tuples answers. The defence ladder is the merge path's.
+TEST(ClusterCoordinatorTest, GkArrayUnionMatchesWeightedSampleView) {
+  ClusterCoordinatorOptions options;
+  options.nodes = 3;
+  options.sketch.algorithm = Algorithm::kGkArray;
+  options.sketch.eps = 0.025;
+  ClusterCoordinator coordinator(options);
+  FaultyChannel acks(FaultSpec{}, 1);
+
+  // Three nodes over disjoint value ranges, so a per-node answer would be
+  // badly wrong for the union.
+  Xoshiro256 rng(3);
+  std::vector<WeightedElement<uint64_t>> tuples;
+  std::vector<std::string> frames;
+  uint64_t total = 0;
+  for (uint32_t node = 0; node < 3; ++node) {
+    GkArray summary(0.025);
+    for (uint64_t i = 0; i < 2'000 + 700 * node; ++i) {
+      summary.Insert(node * 1'000'000 + rng.Below(1'000'000));
+    }
+    summary.impl().ForEachTuple([&](uint64_t v, int64_t g, int64_t) {
+      tuples.push_back({v, g});
+    });
+    total += summary.Count();
+    frames.push_back(summary.Serialize());
+    coordinator.HandleShipment(
+        Shipment(node, 1, summary.Count(), frames.back()), 1, acks);
+  }
+  EXPECT_EQ(coordinator.stats().accepted, 3u);
+  EXPECT_EQ(coordinator.stats().acks_sent, 3u);
+
+  const WeightedSampleView<uint64_t> expected(tuples);
+  const auto check_answers = [&] {
+    for (double phi : TestPhis()) {
+      const ClusterAnswer answer = coordinator.Query(phi, 1);
+      EXPECT_EQ(answer.nodes_merged, 3);
+      EXPECT_FALSE(answer.partial);
+      EXPECT_EQ(answer.reported_count, total);
+      EXPECT_EQ(answer.value,
+                expected.Quantile(
+                    phi * static_cast<double>(expected.TotalWeight())))
+          << phi;
+    }
+    for (uint64_t v : {0u, 999'999u, 1'000'000u, 1'500'000u, 2'400'000u,
+                       9'000'000u}) {
+      EXPECT_EQ(coordinator.Rank(v, 1).value,
+                static_cast<uint64_t>(expected.EstimateRank(v)))
+          << v;
+    }
+  };
+  check_answers();
+
+  // A repeated epoch is stale and re-acked with the node's horizon.
+  acks.Poll(1);
+  coordinator.HandleShipment(Shipment(0, 1, 2'000, frames[0]), 2, acks);
+  EXPECT_EQ(coordinator.stats().rejected_stale, 1u);
+  EXPECT_EQ(coordinator.stats().acks_sent, 4u);
+  const std::vector<std::string> reacks = acks.Poll(2);
+  ASSERT_EQ(reacks.size(), 1u);
+  AckFrame ack;
+  ASSERT_TRUE(DecodeAck(reacks[0], &ack));
+  EXPECT_EQ(ack.node, 0u);
+  EXPECT_EQ(ack.seq, 1u);
+
+  // A flipped byte fails the frame check.
+  std::string flipped = Shipment(1, 2, 2'700, frames[1]);
+  const size_t mid = flipped.size() / 2;
+  flipped[mid] = static_cast<char>(flipped[mid] ^ 0x5A);
+  coordinator.HandleShipment(flipped, 3, acks);
+  EXPECT_EQ(coordinator.stats().rejected_corrupt, 1u);
+
+  // A count that does not match the decoded summary is malformed.
+  coordinator.HandleShipment(Shipment(2, 2, 3'401, frames[2]), 3, acks);
+  EXPECT_EQ(coordinator.stats().rejected_malformed, 1u);
+
+  // A mergeable sketch is not what this coordinator answers from.
+  SketchConfig random_config;
+  random_config.algorithm = Algorithm::kRandom;
+  random_config.eps = 0.025;
+  std::unique_ptr<QuantileSketch> random = MakeSketch(random_config);
+  for (uint64_t v = 0; v < 1'000; ++v) random->Insert(v);
+  const std::string random_frame = SerializeSketch(*random);
+  coordinator.HandleShipment(Shipment(0, 2, 1'000, random_frame), 3, acks);
+  EXPECT_EQ(coordinator.stats().rejected_incompatible, 1u);
+
+  // Nothing rejected touched the accepted state.
+  EXPECT_EQ(coordinator.stats().accepted, 3u);
+  check_answers();
+
+  // And a GKArray is not what a Random coordinator merges.
+  ClusterCoordinatorOptions random_options;
+  random_options.nodes = 1;
+  random_options.sketch = random_config;
+  ClusterCoordinator merging(random_options);
+  merging.HandleShipment(Shipment(0, 1, 2'000, frames[0]), 1, acks);
+  EXPECT_EQ(merging.stats().rejected_incompatible, 1u);
+  merging.HandleShipment(Shipment(0, 1, 1'000, random_frame), 1, acks);
+  EXPECT_EQ(merging.stats().accepted, 1u);
 }
 
 TEST(ClusterTest, ConvergesUnderLossyChannels) {

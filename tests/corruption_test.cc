@@ -16,7 +16,7 @@
 #include <string>
 #include <utility>
 
-#include "distributed/ack.h"
+#include "cluster/wire.h"
 #include "quantile/cash_register.h"
 #include "quantile/dyadic_quantile.h"
 #include "quantile/fast_qdigest.h"
@@ -159,47 +159,42 @@ TEST(CorruptionTest, UnsortedFullBufferIsRejected) {
 
 TEST(CorruptionTest, EveryFlippedAckByteIsRejected) {
   // The ack return path gets the same CRC32C framing as the shipments it
-  // confirms (distributed/ack.h, shared by the monitor and cluster tiers):
+  // confirms (cluster/wire.h, shared by monitor sites and cluster nodes):
   // a flipped ack byte must drop the ack, never misparse it into a bogus
-  // sequence horizon that desynchronises the retry protocol.
-  for (const SnapshotType type :
-       {SnapshotType::kMonitorAck, SnapshotType::kClusterAck}) {
-    AckFrame ack;
-    ack.node = 3;
-    ack.seq = 0x0123456789ABCDEFull;
-    ack.flags = kAckFlagReship;
-    const std::string bytes = EncodeAck(type, ack);
-    AckFrame decoded;
-    ASSERT_TRUE(DecodeAck(type, bytes, &decoded));
-    EXPECT_EQ(decoded.node, ack.node);
-    EXPECT_EQ(decoded.seq, ack.seq);
-    EXPECT_EQ(decoded.flags, ack.flags);
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      std::string corrupted = bytes;
-      corrupted[i] = static_cast<char>(corrupted[i] ^ 0x5A);
-      AckFrame scratch;
-      scratch.node = 77;
-      scratch.seq = 99;
-      EXPECT_FALSE(DecodeAck(type, corrupted, &scratch))
-          << "flipped ack byte " << i << " of " << bytes.size()
-          << " was accepted";
-      EXPECT_EQ(scratch.node, 77u) << "rejected ack mutated *out";
-      EXPECT_EQ(scratch.seq, 99u) << "rejected ack mutated *out";
-    }
-    // Truncations, extensions, and the empty string.
-    AckFrame scratch;
-    EXPECT_FALSE(DecodeAck(type, std::string(), &scratch));
-    EXPECT_FALSE(DecodeAck(type, bytes.substr(0, bytes.size() - 1), &scratch));
-    EXPECT_FALSE(DecodeAck(type, bytes + std::string(1, '\0'), &scratch));
-  }
-  // The two tiers must not accept each other's acks: same payload, wrong
-  // type tag.
+  // epoch horizon that desynchronises the retry protocol.
   AckFrame ack;
+  ack.node = 3;
+  ack.seq = 0x0123456789ABCDEFull;
+  ack.flags = kAckFlagReship;
+  const std::string bytes = EncodeAck(ack);
+  AckFrame decoded;
+  ASSERT_TRUE(DecodeAck(bytes, &decoded));
+  EXPECT_EQ(decoded.node, ack.node);
+  EXPECT_EQ(decoded.seq, ack.seq);
+  EXPECT_EQ(decoded.flags, ack.flags);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string corrupted = bytes;
+    corrupted[i] = static_cast<char>(corrupted[i] ^ 0x5A);
+    AckFrame scratch;
+    scratch.node = 77;
+    scratch.seq = 99;
+    EXPECT_FALSE(DecodeAck(corrupted, &scratch))
+        << "flipped ack byte " << i << " of " << bytes.size()
+        << " was accepted";
+    EXPECT_EQ(scratch.node, 77u) << "rejected ack mutated *out";
+    EXPECT_EQ(scratch.seq, 99u) << "rejected ack mutated *out";
+  }
+  // Truncations, extensions, and the empty string.
   AckFrame scratch;
-  EXPECT_FALSE(DecodeAck(SnapshotType::kClusterAck,
-                         EncodeAck(SnapshotType::kMonitorAck, ack), &scratch));
-  EXPECT_FALSE(DecodeAck(SnapshotType::kMonitorAck,
-                         EncodeAck(SnapshotType::kClusterAck, ack), &scratch));
+  EXPECT_FALSE(DecodeAck(std::string(), &scratch));
+  EXPECT_FALSE(DecodeAck(bytes.substr(0, bytes.size() - 1), &scratch));
+  EXPECT_FALSE(DecodeAck(bytes + std::string(1, '\0'), &scratch));
+  // The type tag is checked too: the same payload re-framed under another
+  // tag (here the shipment's) is not an ack.
+  std::string payload;
+  ASSERT_TRUE(UnframeSnapshot(bytes, SnapshotType::kClusterAck, &payload));
+  EXPECT_FALSE(DecodeAck(
+      FrameSnapshot(SnapshotType::kClusterShipment, payload), &scratch));
 }
 
 TEST(CorruptionTest, MismatchedSnapshotTypeIsRejected) {

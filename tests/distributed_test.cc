@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "distributed/monitor.h"
+#include "cluster/monitor.h"
 #include "exact/exact_oracle.h"
 #include "stream/generators.h"
 #include "util/random.h"

@@ -1,6 +1,6 @@
 // Fault-injected distributed monitoring: the channel's deterministic fault
-// injector, the retry/dedup protocol under a fault matrix, and site
-// crash/checkpoint recovery.
+// injector, the retry/dedup protocol under a fault matrix, and the
+// protocol's figures pinned on one bench row.
 //
 // Everything here is driven by fixed seeds and virtual time, so each
 // scenario is reproducible bit-for-bit.
@@ -13,8 +13,8 @@
 #include <tuple>
 #include <vector>
 
-#include "distributed/channel.h"
-#include "distributed/monitor.h"
+#include "cluster/channel.h"
+#include "cluster/monitor.h"
 #include "exact/exact_oracle.h"
 #include "util/random.h"
 
@@ -306,112 +306,57 @@ TEST(FaultMatrixTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-// -------------------------------------------------------- crash / restart
+// ------------------------------------------------------- pinned figures
 
-TEST(RecoveryTest, CheckpointRestartReplaysLostTail) {
-  const double eps = 0.05;
+// bench_faulty_channel's combined(0.2) row at n = 20,000, then Quiesce().
+// Every figure is the protocol's output under fixed seeds, so any change
+// to the shipping rules, the frames or the coordinator's ladder moves
+// some of them. Data bytes carry the 24-byte header of each shipment's
+// nested sketch frame on top of the figures of the monitor's own frames
+// (1,330,680 + 24 x 1,586).
+TEST(MonitorProtocolTest, CombinedFaultRowIsPinned) {
   FaultSpec f;
   f.drop = 0.2;
+  f.duplicate = 0.2;
+  f.reorder = 0.2;
+  f.corrupt = 0.2;
   f.min_delay = 1;
-  f.max_delay = 6;
+  f.max_delay = 12;
   MonitorOptions options;
   options.data_faults = f;
   options.ack_faults = f;
-  options.seed = 13;
-  DistributedQuantileMonitor monitor(2, eps, -1.0, options);
-  Xoshiro256 rng(21);
-  std::vector<uint64_t> observed;
-  std::vector<uint64_t> site0_since_checkpoint;
-  std::string checkpoint;
-  for (int i = 0; i < 3000; ++i) {
-    const int site = static_cast<int>(rng.Below(2));
-    const uint64_t value = rng.Below(1 << 20);
-    monitor.Observe(site, value);
-    observed.push_back(value);
-    if (site == 0) site0_since_checkpoint.push_back(value);
-    if (i == 1500) {
-      checkpoint = monitor.CheckpointSite(0);
-      ASSERT_FALSE(checkpoint.empty());
-      site0_since_checkpoint.clear();
-    }
+  options.seed = 17;
+  DistributedQuantileMonitor monitor(4, 0.05, -1.0, options);
+  Xoshiro256 rng(42);
+  for (int i = 0; i < 20'000; ++i) {
+    const int site = static_cast<int>(rng.Below(4));
+    monitor.Observe(site, static_cast<uint64_t>(site) * 1'000'000 +
+                              rng.Below(1'000'000));
   }
-  const uint64_t count_before_crash = monitor.SiteCount(0);
-  monitor.CrashSite(0);
-  EXPECT_EQ(monitor.SiteCount(0), 0u);
-  ASSERT_TRUE(monitor.RestartSite(0, checkpoint));
-  EXPECT_LT(monitor.SiteCount(0), count_before_crash);  // tail was lost
-  // The application replays the lost tail (e.g. from an upstream log).
-  for (uint64_t value : site0_since_checkpoint) monitor.Observe(0, value);
-  EXPECT_EQ(monitor.SiteCount(0), count_before_crash);
+  EXPECT_EQ(monitor.StalenessBound(), 270u);
   ASSERT_TRUE(monitor.Quiesce());
-  EXPECT_EQ(monitor.coordinator().ReportedCount(),
-            static_cast<uint64_t>(observed.size()));
-  ExactOracle oracle(observed);
-  const double n = static_cast<double>(observed.size());
-  for (double phi : {0.25, 0.5, 0.75}) {
-    const uint64_t exact_q = oracle.Quantile(phi);
-    const auto interval = oracle.RankInterval(exact_q);
-    const int64_t est = monitor.EstimateRank(exact_q);
-    EXPECT_GE(est, static_cast<int64_t>(interval.first) -
-                       static_cast<int64_t>(eps * n) - 1)
-        << phi;
-    EXPECT_LE(est, static_cast<int64_t>(interval.second) +
-                       static_cast<int64_t>(eps * n) + 1)
-        << phi;
-  }
-}
+  EXPECT_EQ(monitor.now(), 20'513u);
 
-TEST(RecoveryTest, RestartWithoutReplayKeepsCheckpointState) {
-  // If the tail is simply lost, the monitor converges on the checkpointed
-  // prefix: the coordinator ends up reflecting exactly the restored count.
-  DistributedQuantileMonitor monitor(2, 0.1);
-  for (int i = 0; i < 1000; ++i) {
-    monitor.Observe(i % 2, static_cast<uint64_t>(i));
-  }
-  const std::string checkpoint = monitor.CheckpointSite(1);
-  const uint64_t checkpointed = monitor.SiteCount(1);
-  for (int i = 1000; i < 1500; ++i) monitor.Observe(1, static_cast<uint64_t>(i));
-  monitor.CrashSite(1);
-  ASSERT_TRUE(monitor.RestartSite(1, checkpoint));
-  EXPECT_EQ(monitor.SiteCount(1), checkpointed);
-  ASSERT_TRUE(monitor.Quiesce());
-  EXPECT_EQ(monitor.coordinator().KnownCount(1), checkpointed);
-  EXPECT_EQ(monitor.GlobalCount(),
-            monitor.SiteCount(0) + checkpointed);
-}
+  EXPECT_EQ(monitor.data_channel_stats().sent, 1'586u);
+  EXPECT_EQ(monitor.ShipmentCount(), 1'586u);
+  EXPECT_EQ(monitor.RetransmitCount(), 904u);
+  EXPECT_EQ(monitor.CommunicationBytes(), 1'368'744u);
+  EXPECT_EQ(monitor.ack_channel_stats().bytes_offered, 48'120u);
 
-TEST(RecoveryTest, CorruptCheckpointIsRejected) {
-  DistributedQuantileMonitor monitor(1, 0.1);
-  for (int i = 0; i < 500; ++i) monitor.Observe(0, static_cast<uint64_t>(i));
-  const std::string checkpoint = monitor.CheckpointSite(0);
-  for (size_t i = 0; i < checkpoint.size(); ++i) {
-    std::string corrupted = checkpoint;
-    corrupted[i] = static_cast<char>(corrupted[i] ^ 0x5A);
-    EXPECT_FALSE(monitor.RestartSite(0, corrupted)) << "byte " << i;
-  }
-  EXPECT_FALSE(monitor.RestartSite(0, std::string()));
-  EXPECT_FALSE(monitor.RestartSite(0, checkpoint.substr(0, 10)));
-  // The intact checkpoint still restores.
-  EXPECT_TRUE(monitor.RestartSite(0, checkpoint));
-}
+  const auto& cs = monitor.coordinator().stats();
+  EXPECT_EQ(cs.accepted, 942u);
+  EXPECT_EQ(cs.rejected_corrupt, 311u);
+  EXPECT_EQ(cs.rejected_stale, 261u);
+  EXPECT_EQ(cs.rejected_malformed, 0u);
+  EXPECT_EQ(cs.rejected_incompatible, 0u);
+  EXPECT_EQ(cs.acks_sent, 1'203u);
 
-TEST(RecoveryTest, RestartAfterCoordinatorAdvancedFastForwards) {
-  // Checkpoint early, let the site ship far past it, crash, restore the
-  // OLD checkpoint: the coordinator's acks teach the revived site the
-  // foreign sequence horizon and it re-ships, so the coordinator converges
-  // back to the (older) truthful state instead of rejecting it forever.
-  DistributedQuantileMonitor monitor(1, 0.1);
-  for (int i = 0; i < 200; ++i) monitor.Observe(0, static_cast<uint64_t>(i));
-  const std::string old_checkpoint = monitor.CheckpointSite(0);
-  const uint64_t old_count = monitor.SiteCount(0);
-  for (int i = 200; i < 2000; ++i) monitor.Observe(0, static_cast<uint64_t>(i));
-  ASSERT_TRUE(monitor.Quiesce());
-  ASSERT_EQ(monitor.coordinator().KnownCount(0), 2000u);
-  monitor.CrashSite(0);
-  ASSERT_TRUE(monitor.RestartSite(0, old_checkpoint));
-  ASSERT_TRUE(monitor.Quiesce());
-  EXPECT_EQ(monitor.coordinator().KnownCount(0), old_count);
-  EXPECT_EQ(monitor.StalenessBound(), 0u);
+  EXPECT_EQ(monitor.Query(0.01), 69'870u);
+  EXPECT_EQ(monitor.Query(0.25), 1'048'405u);
+  EXPECT_EQ(monitor.Query(0.5), 2'034'355u);
+  EXPECT_EQ(monitor.Query(0.75), 3'044'828u);
+  EXPECT_EQ(monitor.Query(0.99), 3'999'913u);
+  EXPECT_EQ(monitor.EstimateRank(2'000'000), 9'963);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs/): metric primitives, the
-// registry and its framed snapshot, the sketch-side instrumentation wired
-// through QuantileSketch, and the distributed monitor's publish path.
+// registry, and the sketch-side instrumentation wired through
+// QuantileSketch.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "distributed/monitor.h"
 #include "obs/metrics.h"
 #include "obs/sketch_metrics.h"
 #include "quantile/cash_register.h"
@@ -238,47 +237,6 @@ TEST(SketchMetricsTest, PublishMetricsFillsRegistryUnderPrefix) {
   // Publish is a copy, not a drain: publishing twice is idempotent.
   sketch.PublishMetrics(reg, "gk");
   EXPECT_EQ(reg.FindCounter("gk.inserts")->value(), 5000u);
-}
-
-// --- distributed monitor publish ----------------------------------------
-
-TEST(MonitorMetricsTest, PublishMetricsReportsTransportAndCoordinator) {
-  MonitorOptions options;
-  options.data_faults.drop = 0.1;
-  options.data_faults.corrupt = 0.05;
-  options.seed = 7;
-  DistributedQuantileMonitor monitor(/*num_sites=*/3, /*eps=*/0.05,
-                                     /*theta=*/-1.0, options);
-  for (uint64_t i = 0; i < 3000; ++i) {
-    monitor.Observe(static_cast<int>(i % 3), i % 1024);
-  }
-  monitor.Quiesce();
-
-  MetricsRegistry reg;
-  monitor.PublishMetrics(reg, "monitor");
-
-  ASSERT_NE(reg.FindCounter("monitor.shipments"), nullptr);
-  EXPECT_EQ(reg.FindCounter("monitor.shipments")->value(),
-            monitor.ShipmentCount());
-  EXPECT_EQ(reg.FindCounter("monitor.global_count")->value(),
-            monitor.GlobalCount());
-  EXPECT_EQ(reg.FindGauge("monitor.staleness_bound")->value(),
-            static_cast<int64_t>(monitor.StalenessBound()));
-
-  // Per-direction channel stats: the lossy data channel dropped something.
-  ASSERT_NE(reg.FindCounter("monitor.data.sent"), nullptr);
-  EXPECT_EQ(reg.FindCounter("monitor.data.sent")->value(),
-            monitor.data_channel_stats().sent);
-  EXPECT_GT(reg.FindCounter("monitor.data.sent")->value(), 0u);
-  EXPECT_EQ(reg.FindCounter("monitor.data.dropped")->value(),
-            monitor.data_channel_stats().dropped);
-  EXPECT_EQ(reg.FindCounter("monitor.ack.delivered")->value(),
-            monitor.ack_channel_stats().delivered);
-
-  // Coordinator accept/reject accounting made it over too.
-  EXPECT_EQ(reg.FindCounter("monitor.coordinator.accepted")->value(),
-            monitor.coordinator().stats().accepted);
-  EXPECT_GT(reg.FindCounter("monitor.coordinator.accepted")->value(), 0u);
 }
 
 }  // namespace
