@@ -67,15 +67,14 @@ void IngestNode::Ship(uint64_t now, FaultyChannel& tx, bool retransmit) {
   // the shipped count then equals ObservedCount() and the coordinator's
   // per-node staleness is exact at ship time.
   pipeline_->Flush();
-  uint64_t count = 0;
-  std::unique_ptr<QuantileSketch> clone = pipeline_->CloneView(&count);
+  std::unique_ptr<QuantileSketch> clone = pipeline_->CloneView();
   if (clone == nullptr) return;  // nothing published yet; nothing to say
   STREAMQ_TRACE_SPAN(obs::TracePoint::kClusterShip,
                      rules_.last_sent_epoch() + 1);
   ClusterShipment shipment;
   shipment.node = options_.node;
   shipment.epoch = rules_.Shipped(now, ObservedCount(), retransmit);
-  shipment.count = count;
+  shipment.count = clone->Count();
   shipment.sketch_frame = SerializeSketch(*clone);
   // Persist the new horizon BEFORE the bytes can reach the wire: a crash
   // between the two leaves a burned epoch, never a reused one.

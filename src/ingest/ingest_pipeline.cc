@@ -617,6 +617,16 @@ void IngestPipeline::PublishMergedView(bool block) {
     stats_.publish_contended.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  // Nothing new to fold in: epochs only grow, so an unchanged sum means an
+  // unchanged epoch per shard, and the view's snapshots are at least as
+  // fresh as those epochs. A worker stores a new epoch before it publishes,
+  // so no newer snapshot is left out.
+  uint64_t latest = 0;
+  for (const auto& shard : shards_) {
+    latest += shard->stats.snapshot_epoch.load(std::memory_order_acquire);
+  }
+  const QueryView::Snapshot current = view_.Load();
+  if (current.sketch != nullptr && current.epoch == latest) return;
   const obs::ScopedTimer publish_timer(&publish_ticks_);
   STREAMQ_TRACE_SPAN(obs::TracePoint::kViewPublish, shards_.size());
   std::unique_ptr<QuantileSketch> merged = MakeSketch(options_.sketch);
@@ -849,15 +859,21 @@ int64_t IngestPipeline::Rank(uint64_t value) {
   return snap.sketch->EstimateRank(value);
 }
 
-std::unique_ptr<QuantileSketch> IngestPipeline::CloneView(uint64_t* count) {
+std::unique_ptr<QuantileSketch> IngestPipeline::CloneView() {
   const QueryView::Snapshot snap = view_.Load();
   if (snap.sketch == nullptr) return nullptr;
   // Clone() walks the sketch's full state while concurrent Query() calls
   // mutate lazy caches, so cloning serialises on the same query mutex.
   std::lock_guard<std::mutex> lock(query_mutex_);
-  std::unique_ptr<QuantileSketch> clone = snap.sketch->Clone();
-  if (clone != nullptr && count != nullptr) *count = clone->Count();
-  return clone;
+  return snap.sketch->Clone();
+}
+
+uint64_t IngestPipeline::ViewCount() {
+  const QueryView::Snapshot snap = view_.Load();
+  if (snap.sketch == nullptr) return 0;
+  // Serialised on the query mutex for the same reason as CloneView.
+  std::lock_guard<std::mutex> lock(query_mutex_);
+  return snap.sketch->Count();
 }
 
 uint64_t IngestPipeline::PushedCount() const {

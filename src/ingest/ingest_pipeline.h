@@ -229,11 +229,14 @@ class IngestPipeline {
   int64_t Rank(uint64_t value);
 
   /// Clones the currently published merged view into a private, mergeable
-  /// sketch (nullptr before the first publish). `count`, when non-null,
-  /// receives the clone's Count(). This is how the cluster tier builds
-  /// shipment snapshots: the clone is taken from the RCU view, so it never
-  /// blocks -- or is blocked by -- ingestion. Any thread.
-  std::unique_ptr<QuantileSketch> CloneView(uint64_t* count = nullptr);
+  /// sketch (nullptr before the first publish). This is how the cluster
+  /// tier builds shipment snapshots: the clone is taken from the RCU view,
+  /// so it never blocks -- or is blocked by -- ingestion. Any thread.
+  std::unique_ptr<QuantileSketch> CloneView();
+
+  /// Count() of the currently published merged view, read in place (0
+  /// before the first publish). Any thread.
+  uint64_t ViewCount();
 
   // --- durability -------------------------------------------------------
 
@@ -376,7 +379,8 @@ class IngestPipeline {
   /// Clones the shard sketch into its snapshot slot (worker thread only).
   void PublishShardSnapshot(Shard& shard);
   /// Merges all shard snapshots into a fresh sketch and installs it into
-  /// the view. `block` selects mutex lock vs try_lock (workers use
+  /// the view, unless the view already covers every shard's latest
+  /// snapshot epoch. `block` selects mutex lock vs try_lock (workers use
   /// try_lock so a contended publish never stalls ingestion).
   void PublishMergedView(bool block);
   /// Checkpoint when due (workers: try_lock, cheap interval pre-check) or

@@ -775,9 +775,7 @@ NetResponse StreamqServer::DoDrop(const NetRequest& request) {
 void StreamqServer::FillStats(ingest::IngestPipeline& pipeline,
                               const StreamEntry& entry,
                               StreamStatsPayload* out) {
-  uint64_t count = 0;
-  pipeline.CloneView(&count);  // rare op; the clone itself is discarded
-  out->count = count;
+  out->count = pipeline.ViewCount();
   out->pushed = pipeline.PushedCount();
   out->processed = pipeline.ProcessedCount();
   out->durable_seq = pipeline.DurableSeq();

@@ -10,7 +10,12 @@
 #ifndef STREAMQ_QUANTILE_CASH_REGISTER_H_
 #define STREAMQ_QUANTILE_CASH_REGISTER_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "quantile/gk_adaptive.h"
 #include "quantile/gk_array.h"
@@ -22,48 +27,65 @@
 
 namespace streamq {
 
-/// GKTheory over uint64_t (section 2.1 of the paper).
-class GkTheory : public QuantileSketch {
+/// A string literal as a template argument: the summary's Name().
+template <size_t N>
+struct SketchName {
+  constexpr SketchName(const char (&name)[N]) { std::copy_n(name, N, text); }
+  char text[N];
+};
+
+/// The summary `Impl` over uint64_t behind the QuantileSketch API, named
+/// `kName` and snapshotted under the frame tag `kTag`. Every value is
+/// accepted; UpdateBatch goes to Impl::InsertBatch, which keeps the
+/// item-wise state bit for bit.
+template <typename Impl, SnapshotType kTag, SketchName kName>
+class CashRegisterSketch : public QuantileSketch {
  public:
-  explicit GkTheory(double eps) : impl_(eps) {
-    impl_.set_metrics(mutable_metrics());
-  }
+  explicit CashRegisterSketch(double eps)
+      : CashRegisterSketch(std::in_place, eps) {}
   int64_t EstimateRank(uint64_t value) override {
     return impl_.EstimateRank(value);
   }
   uint64_t Count() const override { return impl_.Count(); }
   size_t MemoryBytes() const override { return impl_.MemoryBytes(); }
-  std::string Name() const override { return "GKTheory"; }
-  GkTheoryImpl<uint64_t>& impl() { return impl_; }
+  std::string Name() const override { return kName.text; }
+  Impl& impl() { return impl_; }
 
   /// Framed snapshot of the summary; restore with Deserialize.
   std::string Serialize() const {
     SerdeWriter w;
     impl_.Serialize(w);
-    return FrameSnapshot(SnapshotType::kGkTheory, w.Take());
+    return FrameSnapshot(kTag, w.Take());
   }
   /// Restores a Serialize() snapshot; nullptr on corrupt input.
-  static std::unique_ptr<GkTheory> Deserialize(const std::string& bytes) {
+  static std::unique_ptr<CashRegisterSketch> Deserialize(
+      const std::string& bytes) {
+    return Load<CashRegisterSketch>(bytes);
+  }
+
+ protected:
+  template <typename... Args>
+  explicit CashRegisterSketch(std::in_place_t, Args&&... args)
+      : impl_(std::forward<Args>(args)...) {
+    impl_.set_metrics(mutable_metrics());
+  }
+
+  template <typename Sketch>
+  static std::unique_ptr<Sketch> Load(const std::string& bytes) {
     std::string payload;
-    if (!UnframeSnapshot(bytes, SnapshotType::kGkTheory, &payload)) {
-      return nullptr;
-    }
-    auto sketch = std::make_unique<GkTheory>(0.5);
+    if (!UnframeSnapshot(bytes, kTag, &payload)) return nullptr;
+    auto sketch = std::make_unique<Sketch>(0.5);
     SerdeReader r(payload);
     if (!sketch->impl_.Deserialize(r) || !r.Done()) return nullptr;
     return sketch;
   }
 
- protected:
   StreamqStatus InsertImpl(uint64_t value) override {
     impl_.Insert(value);
     return StreamqStatus::kOk;
   }
-  // Comparison-based summary: every value is accepted, so the batch entry
-  // only amortizes the virtual dispatch and metrics (the tuple-list insert
-  // itself has no batch shortcut).
   size_t InsertBatchImpl(const uint64_t* values, size_t n) override {
-    for (size_t i = 0; i < n; ++i) impl_.Insert(values[i]);
+    impl_.InsertBatch(values, n);
     return 0;
   }
   uint64_t QueryImpl(double phi) override { return impl_.Query(phi); }
@@ -72,269 +94,71 @@ class GkTheory : public QuantileSketch {
     return impl_.QueryMany(phis);
   }
 
- private:
-  GkTheoryImpl<uint64_t> impl_;
+  Impl impl_;
 };
+
+/// A CashRegisterSketch whose summary merges: two built with the same eps
+/// combine into a summary of the union stream (the mergeable-summary
+/// property of Agarwal et al.), and a copy clones it with fresh metrics.
+template <typename Impl, SnapshotType kTag, SketchName kName>
+class MergeableSketch : public CashRegisterSketch<Impl, kTag, kName> {
+  using Base = CashRegisterSketch<Impl, kTag, kName>;
+
+ public:
+  MergeableSketch(double eps, uint64_t seed = 1)
+      : Base(std::in_place, eps, seed) {}
+  MergeableSketch(const MergeableSketch& other)
+      : Base(std::in_place, other.impl_) {}
+  MergeableSketch& operator=(const MergeableSketch&) = delete;
+
+  bool Mergeable() const override { return true; }
+  std::unique_ptr<QuantileSketch> Clone() const override {
+    return std::unique_ptr<QuantileSketch>(new MergeableSketch(*this));
+  }
+
+  /// Restores a Serialize() snapshot (PRNG state included); nullptr on
+  /// corrupt input.
+  static std::unique_ptr<MergeableSketch> Deserialize(
+      const std::string& bytes) {
+    return Base::template Load<MergeableSketch>(bytes);
+  }
+
+ protected:
+  StreamqStatus MergeCompatibility(
+      const QuantileSketch& other) const override {
+    const auto* peer = dynamic_cast<const MergeableSketch*>(&other);
+    if (peer == nullptr || peer->impl_.height() != this->impl_.height() ||
+        peer->impl_.buffer_size() != this->impl_.buffer_size()) {
+      return StreamqStatus::kMergeIncompatible;
+    }
+    return StreamqStatus::kOk;
+  }
+  StreamqStatus MergeImpl(const QuantileSketch& other) override {
+    this->impl_.Merge(static_cast<const MergeableSketch&>(other).impl_);
+    return StreamqStatus::kOk;
+  }
+};
+
+/// GKTheory over uint64_t (section 2.1 of the paper).
+using GkTheory = CashRegisterSketch<GkTheoryImpl<uint64_t>,
+                                    SnapshotType::kGkTheory, "GKTheory">;
 
 /// GKAdaptive over uint64_t (section 2.1.1).
-class GkAdaptive : public QuantileSketch {
- public:
-  explicit GkAdaptive(double eps) : impl_(eps) {
-    impl_.set_metrics(mutable_metrics());
-  }
-  int64_t EstimateRank(uint64_t value) override {
-    return impl_.EstimateRank(value);
-  }
-  uint64_t Count() const override { return impl_.Count(); }
-  size_t MemoryBytes() const override { return impl_.MemoryBytes(); }
-  std::string Name() const override { return "GKAdaptive"; }
-  GkAdaptiveImpl<uint64_t>& impl() { return impl_; }
-
-  /// Framed snapshot of the summary; restore with Deserialize.
-  std::string Serialize() const {
-    SerdeWriter w;
-    impl_.Serialize(w);
-    return FrameSnapshot(SnapshotType::kGkAdaptive, w.Take());
-  }
-  /// Restores a Serialize() snapshot; nullptr on corrupt input.
-  static std::unique_ptr<GkAdaptive> Deserialize(const std::string& bytes) {
-    std::string payload;
-    if (!UnframeSnapshot(bytes, SnapshotType::kGkAdaptive, &payload)) {
-      return nullptr;
-    }
-    auto sketch = std::make_unique<GkAdaptive>(0.5);
-    SerdeReader r(payload);
-    if (!sketch->impl_.Deserialize(r) || !r.Done()) return nullptr;
-    return sketch;
-  }
-
- protected:
-  StreamqStatus InsertImpl(uint64_t value) override {
-    impl_.Insert(value);
-    return StreamqStatus::kOk;
-  }
-  // As for GkTheory: batch amortizes dispatch + metrics only.
-  size_t InsertBatchImpl(const uint64_t* values, size_t n) override {
-    for (size_t i = 0; i < n; ++i) impl_.Insert(values[i]);
-    return 0;
-  }
-  uint64_t QueryImpl(double phi) override { return impl_.Query(phi); }
-  std::vector<uint64_t> QueryManyImpl(
-      const std::vector<double>& phis) override {
-    return impl_.QueryMany(phis);
-  }
-
- private:
-  GkAdaptiveImpl<uint64_t> impl_;
-};
+using GkAdaptive = CashRegisterSketch<GkAdaptiveImpl<uint64_t>,
+                                      SnapshotType::kGkAdaptive, "GKAdaptive">;
 
 /// GKArray over uint64_t (section 2.1.2, journal version).
-class GkArray : public QuantileSketch {
- public:
-  explicit GkArray(double eps) : impl_(eps) {
-    impl_.set_metrics(mutable_metrics());
-  }
-  int64_t EstimateRank(uint64_t value) override {
-    return impl_.EstimateRank(value);
-  }
-  uint64_t Count() const override { return impl_.Count(); }
-  size_t MemoryBytes() const override { return impl_.MemoryBytes(); }
-  std::string Name() const override { return "GKArray"; }
-  GkArrayImpl<uint64_t>& impl() { return impl_; }
+using GkArray = CashRegisterSketch<GkArrayImpl<uint64_t>,
+                                   SnapshotType::kGkArray, "GKArray">;
 
-  /// Framed snapshot of the summary; restore with Deserialize.
-  std::string Serialize() const {
-    SerdeWriter w;
-    impl_.Serialize(w);
-    return FrameSnapshot(SnapshotType::kGkArray, w.Take());
-  }
-  /// Restores a Serialize() snapshot; nullptr on corrupt input.
-  static std::unique_ptr<GkArray> Deserialize(const std::string& bytes) {
-    std::string payload;
-    if (!UnframeSnapshot(bytes, SnapshotType::kGkArray, &payload)) {
-      return nullptr;
-    }
-    auto sketch = std::make_unique<GkArray>(0.5);
-    SerdeReader r(payload);
-    if (!sketch->impl_.Deserialize(r) || !r.Done()) return nullptr;
-    return sketch;
-  }
+/// Random over uint64_t (section 2.2).
+using RandomSketch = MergeableSketch<RandomSketchImpl<uint64_t>,
+                                     SnapshotType::kRandom, "Random">;
 
- protected:
-  StreamqStatus InsertImpl(uint64_t value) override {
-    impl_.Insert(value);
-    return StreamqStatus::kOk;
-  }
-  // Bulk-appends into the insert buffer with the same flush points as the
-  // item-wise loop (GkArrayImpl::InsertBatch).
-  size_t InsertBatchImpl(const uint64_t* values, size_t n) override {
-    impl_.InsertBatch(values, n);
-    return 0;
-  }
-  uint64_t QueryImpl(double phi) override { return impl_.Query(phi); }
-  std::vector<uint64_t> QueryManyImpl(
-      const std::vector<double>& phis) override {
-    return impl_.QueryMany(phis);
-  }
-
- private:
-  GkArrayImpl<uint64_t> impl_;
-};
-
-/// Random over uint64_t (section 2.2). Mergeable: two Random summaries
-/// built with the same eps combine into a summary of the union stream (the
-/// mergeable-summary property of Agarwal et al. that Random inherits).
-class RandomSketch : public QuantileSketch {
- public:
-  RandomSketch(double eps, uint64_t seed = 1) : impl_(eps, seed) {
-    impl_.set_metrics(mutable_metrics());
-  }
-  RandomSketch(const RandomSketch& other)
-      : QuantileSketch(), impl_(other.impl_) {
-    impl_.set_metrics(mutable_metrics());
-  }
-  RandomSketch& operator=(const RandomSketch&) = delete;
-  int64_t EstimateRank(uint64_t value) override {
-    return impl_.EstimateRank(value);
-  }
-  uint64_t Count() const override { return impl_.Count(); }
-  size_t MemoryBytes() const override { return impl_.MemoryBytes(); }
-  std::string Name() const override { return "Random"; }
-  RandomSketchImpl<uint64_t>& impl() { return impl_; }
-
-  bool Mergeable() const override { return true; }
-  std::unique_ptr<QuantileSketch> Clone() const override {
-    return std::unique_ptr<QuantileSketch>(new RandomSketch(*this));
-  }
-
-  /// Framed snapshot of the summary (including PRNG state).
-  std::string Serialize() const {
-    SerdeWriter w;
-    impl_.Serialize(w);
-    return FrameSnapshot(SnapshotType::kRandom, w.Take());
-  }
-  /// Restores a Serialize() snapshot; nullptr on corrupt input.
-  static std::unique_ptr<RandomSketch> Deserialize(const std::string& bytes) {
-    std::string payload;
-    if (!UnframeSnapshot(bytes, SnapshotType::kRandom, &payload)) {
-      return nullptr;
-    }
-    auto sketch = std::make_unique<RandomSketch>(0.5);
-    SerdeReader r(payload);
-    if (!sketch->impl_.Deserialize(r) || !r.Done()) return nullptr;
-    return sketch;
-  }
-
- protected:
-  StreamqStatus InsertImpl(uint64_t value) override {
-    impl_.Insert(value);
-    return StreamqStatus::kOk;
-  }
-  // Strides over whole sampling blocks, consuming the PRNG exactly as the
-  // item-wise loop would (RandomSketchImpl::InsertBatch).
-  size_t InsertBatchImpl(const uint64_t* values, size_t n) override {
-    impl_.InsertBatch(values, n);
-    return 0;
-  }
-  uint64_t QueryImpl(double phi) override { return impl_.Query(phi); }
-  std::vector<uint64_t> QueryManyImpl(
-      const std::vector<double>& phis) override {
-    return impl_.QueryMany(phis);
-  }
-  StreamqStatus MergeCompatibility(
-      const QuantileSketch& other) const override {
-    const auto* peer = dynamic_cast<const RandomSketch*>(&other);
-    if (peer == nullptr || peer->impl_.height() != impl_.height() ||
-        peer->impl_.buffer_size() != impl_.buffer_size()) {
-      return StreamqStatus::kMergeIncompatible;
-    }
-    return StreamqStatus::kOk;
-  }
-  StreamqStatus MergeImpl(const QuantileSketch& other) override {
-    impl_.Merge(static_cast<const RandomSketch&>(other).impl_);
-    return StreamqStatus::kOk;
-  }
-
- private:
-  RandomSketchImpl<uint64_t> impl_;
-};
-
-/// MRL99 over uint64_t (section 1.2.1). Mergeable: two MRL99 summaries
-/// built with the same eps combine level-wise, with COLLAPSE passes
-/// restoring the buffer budget (see Mrl99Impl::Merge).
-class Mrl99 : public QuantileSketch {
- public:
-  Mrl99(double eps, uint64_t seed = 1) : impl_(eps, seed) {
-    impl_.set_metrics(mutable_metrics());
-  }
-  Mrl99(const Mrl99& other) : QuantileSketch(), impl_(other.impl_) {
-    impl_.set_metrics(mutable_metrics());
-  }
-  Mrl99& operator=(const Mrl99&) = delete;
-  int64_t EstimateRank(uint64_t value) override {
-    return impl_.EstimateRank(value);
-  }
-  uint64_t Count() const override { return impl_.Count(); }
-  size_t MemoryBytes() const override { return impl_.MemoryBytes(); }
-  std::string Name() const override { return "MRL99"; }
-  Mrl99Impl<uint64_t>& impl() { return impl_; }
-
-  bool Mergeable() const override { return true; }
-  std::unique_ptr<QuantileSketch> Clone() const override {
-    return std::unique_ptr<QuantileSketch>(new Mrl99(*this));
-  }
-
-  /// Framed snapshot of the summary (including PRNG state).
-  std::string Serialize() const {
-    SerdeWriter w;
-    impl_.Serialize(w);
-    return FrameSnapshot(SnapshotType::kMrl99, w.Take());
-  }
-  /// Restores a Serialize() snapshot; nullptr on corrupt input.
-  static std::unique_ptr<Mrl99> Deserialize(const std::string& bytes) {
-    std::string payload;
-    if (!UnframeSnapshot(bytes, SnapshotType::kMrl99, &payload)) {
-      return nullptr;
-    }
-    auto sketch = std::make_unique<Mrl99>(0.5);
-    SerdeReader r(payload);
-    if (!sketch->impl_.Deserialize(r) || !r.Done()) return nullptr;
-    return sketch;
-  }
-
- protected:
-  StreamqStatus InsertImpl(uint64_t value) override {
-    impl_.Insert(value);
-    return StreamqStatus::kOk;
-  }
-  // Strides over whole weighted blocks, same PRNG consumption as item-wise
-  // (Mrl99Impl::InsertBatch).
-  size_t InsertBatchImpl(const uint64_t* values, size_t n) override {
-    impl_.InsertBatch(values, n);
-    return 0;
-  }
-  uint64_t QueryImpl(double phi) override { return impl_.Query(phi); }
-  std::vector<uint64_t> QueryManyImpl(
-      const std::vector<double>& phis) override {
-    return impl_.QueryMany(phis);
-  }
-  StreamqStatus MergeCompatibility(
-      const QuantileSketch& other) const override {
-    const auto* peer = dynamic_cast<const Mrl99*>(&other);
-    if (peer == nullptr || peer->impl_.height() != impl_.height() ||
-        peer->impl_.buffer_size() != impl_.buffer_size()) {
-      return StreamqStatus::kMergeIncompatible;
-    }
-    return StreamqStatus::kOk;
-  }
-  StreamqStatus MergeImpl(const QuantileSketch& other) override {
-    impl_.Merge(static_cast<const Mrl99&>(other).impl_);
-    return StreamqStatus::kOk;
-  }
-
- private:
-  Mrl99Impl<uint64_t> impl_;
-};
+/// MRL99 over uint64_t (section 1.2.1); merges level-wise, with COLLAPSE
+/// passes restoring the buffer budget.
+using Mrl99 =
+    MergeableSketch<Mrl99Impl<uint64_t>, SnapshotType::kMrl99, "MRL99">;
 
 }  // namespace streamq
 

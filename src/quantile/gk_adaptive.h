@@ -67,6 +67,12 @@ class GkAdaptiveImpl {
     MaybeCompactHeap();
   }
 
+  /// Inserts values[0..n) in order: the item loop, as the tuple-list
+  /// insert has no batch shortcut.
+  void InsertBatch(const T* values, size_t n) {
+    for (size_t i = 0; i < n; ++i) Insert(values[i]);
+  }
+
   T Query(double phi) const { return store_.Query(phi, n_); }
 
   std::vector<T> QueryMany(const std::vector<double>& phis) const {

@@ -52,6 +52,12 @@ class GkTheoryImpl {
     }
   }
 
+  /// Inserts values[0..n) in order: the item loop, as the tuple-list
+  /// insert has no batch shortcut.
+  void InsertBatch(const T* values, size_t n) {
+    for (size_t i = 0; i < n; ++i) Insert(values[i]);
+  }
+
   /// Optional instrumentation hook (owned by the wrapping QuantileSketch);
   /// never serialized, may stay null.
   void set_metrics(obs::SketchMetrics* metrics) { metrics_ = metrics; }

@@ -157,6 +157,144 @@ TEST(CorruptionTest, UnsortedFullBufferIsRejected) {
                                           /*weighted=*/true);
 }
 
+// A sampler snapshot whose CRC is right but whose structure the summary
+// could never reach must not load either: re-frame an edited valid
+// snapshot, expect nullptr. Loaded, such a snapshot grows without bound
+// (capacity 0), shifts past 64 bits (a level whose weight 2^level does not
+// fit) or overflows the int64 rank sums.
+template <typename Sketch>
+class SamplerForgery {
+ public:
+  SamplerForgery(SnapshotType type, bool weighted, uint64_t n)
+      : type_(type) {
+    Sketch sketch(0.1, 7);  // h = 4: 5 buffers of 20
+    for (uint64_t v = 0; v < n; ++v) sketch.Insert(v * 7 % 1000);
+    std::string payload;
+    EXPECT_TRUE(UnframeSnapshot(sketch.Serialize(), type, &payload));
+    EXPECT_TRUE(DecodeSampleSummary(payload, weighted, &valid_));
+    EXPECT_EQ(EncodeSampleSummary(valid_), payload);
+  }
+
+  const SampleSummaryState<uint64_t>& valid() const { return valid_; }
+
+  // Whether the valid snapshot, edited by `edit`, loads.
+  template <typename Edit>
+  bool Loads(Edit edit) const {
+    SampleSummaryState<uint64_t> s = valid_;
+    edit(s);
+    return Sketch::Deserialize(FrameSnapshot(type_, EncodeSampleSummary(s))) !=
+           nullptr;
+  }
+
+ private:
+  SnapshotType type_;
+  SampleSummaryState<uint64_t> valid_;
+};
+
+template <typename Sketch>
+void ExpectImpossibleShapeRejected(SnapshotType type, bool weighted) {
+  const SamplerForgery<Sketch> empty(type, weighted, 0);
+  using State = SampleSummaryState<uint64_t>;
+  EXPECT_TRUE(empty.Loads([](State&) {}));
+  EXPECT_FALSE(empty.Loads([](State& s) {
+    s.height = 0;
+    s.buffers.resize(1);
+  })) << "height 0";
+  EXPECT_FALSE(empty.Loads([](State& s) { s.buffers.emplace_back(); }))
+      << "h + 2 buffers";
+  EXPECT_FALSE(empty.Loads([](State& s) { s.buffers.pop_back(); }))
+      << "h buffers";
+  EXPECT_FALSE(empty.Loads([](State& s) { s.buffer_size = 0; }))
+      << "capacity 0";
+  EXPECT_FALSE(empty.Loads([](State& s) { s.buffer_size = 7; }))
+      << "capacity 7";
+  EXPECT_TRUE(empty.Loads([](State& s) { s.buffer_size = 8; }))
+      << "capacity 8, the floor";
+
+  const SamplerForgery<Sketch> midstream(type, weighted, 1'000);
+  ASSERT_TRUE(midstream.Loads([](State&) {}));
+  for (uint32_t level : {63u, 64u, 0x80000001u}) {
+    EXPECT_FALSE(midstream.Loads([&](State& s) { s.buffers[0].level = level; }))
+        << "level " << level;
+  }
+  size_t longest = 0, at = 0;
+  for (size_t i = 0; i < midstream.valid().buffers.size(); ++i) {
+    const size_t length = midstream.valid().buffers[i].data.size();
+    if (length > longest) {
+      longest = length;
+      at = i;
+    }
+  }
+  ASSERT_GT(longest, 8u);
+  EXPECT_FALSE(midstream.Loads([&](State& s) { s.buffer_size = longest - 1; }))
+      << "a buffer longer than the capacity";
+  // Level 62 fits the weight, but 2^62 times the buffer's length overflows
+  // the rank sums.
+  EXPECT_FALSE(midstream.Loads([&](State& s) {
+    s.buffers[at].level = 62;
+    s.buffers[at].weight = int64_t{1} << 62;
+  })) << "weight 2^62 on a buffer of " << longest;
+}
+
+template <typename Sketch>
+void ExpectImpossibleFillRejected(SnapshotType type, bool weighted) {
+  // 1,001 values leave a fill buffer at level 3 with one value of its
+  // block of 8.
+  const SamplerForgery<Sketch> forgery(type, weighted, 1'001);
+  using State = SampleSummaryState<uint64_t>;
+  const State& valid = forgery.valid();
+  ASSERT_GE(valid.fill, 0);
+  const auto& fill = valid.buffers[static_cast<size_t>(valid.fill)];
+  ASSERT_EQ(fill.full, 0u);
+  ASSERT_EQ(fill.level, 3u);
+  ASSERT_EQ(valid.block_seen, 1u);
+  ASSERT_TRUE(forgery.Loads([](State&) {}));
+
+  int32_t full = -1;
+  for (size_t i = 0; i < valid.buffers.size(); ++i) {
+    if (valid.buffers[i].full != 0) full = static_cast<int32_t>(i);
+  }
+  ASSERT_GE(full, 0);
+  EXPECT_FALSE(forgery.Loads([&](State& s) { s.fill = full; }))
+      << "fill index on a full buffer";
+  EXPECT_FALSE(forgery.Loads([](State& s) {
+    s.fill = static_cast<int32_t>(s.buffers.size());
+  })) << "fill index past the buffers";
+  EXPECT_FALSE(forgery.Loads([](State& s) { s.fill = -2; }))
+      << "fill index -2";
+  EXPECT_FALSE(forgery.Loads([](State& s) { s.fill = -1; }))
+      << "a block in progress with no fill buffer";
+  EXPECT_TRUE(forgery.Loads([](State& s) {
+    s.fill = -1;
+    s.block_seen = 0;
+  })) << "no fill buffer, no block";
+  EXPECT_TRUE(forgery.Loads([](State& s) { s.block_seen = 7; }))
+      << "block position inside the fill weight";
+  EXPECT_FALSE(forgery.Loads([](State& s) { s.block_seen = 8; }))
+      << "block position at the fill weight";
+  EXPECT_FALSE(forgery.Loads([](State& s) { s.block_pick = 8; }))
+      << "block pick at the fill weight";
+  if (weighted) {
+    EXPECT_FALSE(forgery.Loads([](State& s) {
+      s.buffers[static_cast<size_t>(s.fill)].weight = 4;
+    })) << "fill buffer weight other than 2^level";
+  }
+}
+
+TEST(CorruptionTest, ImpossibleSamplerShapeIsRejected) {
+  ExpectImpossibleShapeRejected<RandomSketch>(SnapshotType::kRandom,
+                                              /*weighted=*/false);
+  ExpectImpossibleShapeRejected<Mrl99>(SnapshotType::kMrl99,
+                                       /*weighted=*/true);
+}
+
+TEST(CorruptionTest, ImpossibleSamplerFillPositionIsRejected) {
+  ExpectImpossibleFillRejected<RandomSketch>(SnapshotType::kRandom,
+                                             /*weighted=*/false);
+  ExpectImpossibleFillRejected<Mrl99>(SnapshotType::kMrl99,
+                                      /*weighted=*/true);
+}
+
 TEST(CorruptionTest, EveryFlippedAckByteIsRejected) {
   // The ack return path gets the same CRC32C framing as the shipments it
   // confirms (cluster/wire.h, shared by monitor sites and cluster nodes):

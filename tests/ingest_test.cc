@@ -399,6 +399,36 @@ TEST(IngestPipelineTest, StopIsIdempotentAndFinal) {
   }
 }
 
+TEST(IngestPipelineTest, FlushWithNothingNewSkipsThePublish) {
+  IngestOptions options;
+  options.sketch = PipelineConfig(Algorithm::kRandom, 0.01);
+  options.shards = 2;
+  auto pipeline = IngestPipeline::Create(options);
+  ASSERT_NE(pipeline, nullptr);
+  const std::vector<uint64_t> data = PipelineData(50'000, 5);
+  for (uint64_t v : data) pipeline->Push(Update{v, +1});
+  pipeline->Flush();
+  const std::vector<double> phis = {0.0, 0.1, 0.5, 0.9, 1.0};
+  const std::vector<uint64_t> answers = pipeline->QueryMany(phis);
+  const int64_t rank = pipeline->Rank(data[7]);
+  const uint64_t publishes = pipeline->stats().publishes.load();
+
+  // The view already covers every shard's latest snapshot.
+  pipeline->Flush();
+  EXPECT_EQ(pipeline->stats().publishes.load(), publishes);
+  EXPECT_EQ(pipeline->QueryMany(phis), answers);
+  EXPECT_EQ(pipeline->Rank(data[7]), rank);
+  EXPECT_EQ(pipeline->ViewEpoch(), data.size());
+  EXPECT_EQ(pipeline->ViewCount(), data.size());
+
+  pipeline->Push(Update{data[0], +1});
+  pipeline->Flush();
+  EXPECT_GT(pipeline->stats().publishes.load(), publishes);
+  EXPECT_EQ(pipeline->ViewEpoch(), data.size() + 1);
+  EXPECT_EQ(pipeline->ViewCount(), data.size() + 1);
+  pipeline->Stop();
+}
+
 TEST(IngestPipelineTest, MemoryAccountingAndMetrics) {
   IngestOptions options;
   options.sketch = PipelineConfig(Algorithm::kFastQDigest, 0.02);

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
 #include <tuple>
@@ -583,6 +584,131 @@ TEST(MergeGoldenTest, RandomMergeTreeBytesArePinned) {
 
 TEST(MergeGoldenTest, Mrl99MergeTreeBytesArePinned) {
   EXPECT_EQ(MergeTreeCrc<Mrl99>(), 0x79f1fecbu);
+}
+
+// ---------- Stream bytes and answers pinned ----------
+//
+// CRC32C of the snapshot, and of the answers (QueryMany on a 101-point phi
+// grid, then EstimateRank at 64 fixed values), after fixed-seed streams.
+// The pins were taken before Random and MRL99 shared one buffer tree. A
+// stream fed item-wise, in batches, or with a snapshot round trip halfway
+// lands on the same pins; a stream of 2 * capacity + 5 values ends with a
+// partially filled buffer.
+
+struct StreamPins {
+  uint32_t snapshot;
+  uint32_t answers;
+  bool operator==(const StreamPins&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StreamPins& p) {
+  return os << std::hex << "{0x" << p.snapshot << "u, 0x" << p.answers
+            << "u}" << std::dec;
+}
+
+uint32_t CrcOf(const std::string& bytes) {
+  return Crc32c(bytes.data(), bytes.size());
+}
+
+// A QuantileSketch adapter or a bare impl (generic T).
+template <typename T, typename Sketch>
+StreamPins PinsOf(Sketch& sketch) {
+  std::string snapshot;
+  if constexpr (std::is_base_of_v<QuantileSketch, Sketch>) {
+    snapshot = sketch.Serialize();
+  } else {
+    SerdeWriter w;
+    sketch.Serialize(w);
+    snapshot = w.Take();
+  }
+  std::vector<double> phis;
+  for (int i = 0; i <= 100; ++i) phis.push_back(i / 100.0);
+  SerdeWriter answers;
+  for (const T& v : sketch.QueryMany(phis)) answers.Pod(v);
+  for (uint64_t k = 0; k < 64; ++k) {
+    T probe{};
+    if constexpr (std::is_same_v<T, double>) {
+      probe = (static_cast<double>(k) + 0.5) / 64.0;
+    } else {
+      probe = (k << 26) + 12'345;  // across the 32-bit universe
+    }
+    answers.I64(sketch.EstimateRank(probe));
+  }
+  return {CrcOf(snapshot), CrcOf(answers.Take())};
+}
+
+const std::vector<uint64_t>& PinnedStream() {
+  static const std::vector<uint64_t> data = [] {
+    DatasetSpec spec;
+    spec.n = 4'000'037;
+    spec.log_universe = 32;
+    spec.seed = 7;
+    return GenerateDataset(spec);
+  }();
+  return data;
+}
+
+template <typename Sketch>
+void ExpectStreamPins(double eps, StreamPins want, StreamPins want_short) {
+  const std::vector<uint64_t>& data = PinnedStream();
+  const std::span<const uint64_t> all(data);
+  Sketch itemwise(eps, 7), batched(eps, 7), half(eps, 7);
+  for (uint64_t v : data) itemwise.Insert(v);
+  constexpr size_t kSpans[] = {1, 7, 4'096, 65'537};
+  for (size_t i = 0, k = 0; i < data.size(); ++k) {
+    const size_t len = std::min(kSpans[k % 4], data.size() - i);
+    batched.UpdateBatch(all.subspan(i, len));
+    i += len;
+  }
+  half.UpdateBatch(all.first(data.size() / 2));
+  const std::unique_ptr<Sketch> resumed = Sketch::Deserialize(half.Serialize());
+  ASSERT_NE(resumed, nullptr);
+  resumed->UpdateBatch(all.subspan(data.size() / 2));
+  EXPECT_EQ(PinsOf<uint64_t>(itemwise), want) << "item-wise, eps " << eps;
+  EXPECT_EQ(PinsOf<uint64_t>(batched), want) << "batched, eps " << eps;
+  EXPECT_EQ(PinsOf<uint64_t>(*resumed), want) << "round trip, eps " << eps;
+
+  Sketch partial(eps, 7);
+  const size_t n = 2 * partial.impl().buffer_size() + 5;
+  for (size_t i = 0; i < n; ++i) partial.Insert(data[i]);
+  EXPECT_EQ(PinsOf<uint64_t>(partial), want_short)
+      << "2 * capacity + 5, eps " << eps;
+}
+
+TEST(StreamGoldenTest, RandomStreamsArePinned) {
+  ExpectStreamPins<RandomSketch>(0.1, {0xb18721fcu, 0xa6532782u},
+                                 {0x8103b4e7u, 0xfecdcf96u});
+  ExpectStreamPins<RandomSketch>(0.01, {0x391817deu, 0x289325d4u},
+                                 {0xc90df3f1u, 0x592619f3u});
+  ExpectStreamPins<RandomSketch>(0.001, {0xba0d3efeu, 0x645ebbd3u},
+                                 {0x556e14e6u, 0xe151ae8bu});
+}
+
+TEST(StreamGoldenTest, Mrl99StreamsArePinned) {
+  ExpectStreamPins<Mrl99>(0.1, {0xfda362b4u, 0x48233ce1u},
+                          {0x6d786ea6u, 0xfecdcf96u});
+  ExpectStreamPins<Mrl99>(0.01, {0x2a696919u, 0xf53fa428u},
+                          {0x7c0c55fbu, 0x003849cbu});
+  ExpectStreamPins<Mrl99>(0.001, {0x8b7b607bu, 0xb7151d1fu},
+                          {0x442cff58u, 0x1bc02a1au});
+}
+
+// The generic-T path: 200,003 doubles, item-wise and as one batch.
+template <typename Impl>
+void ExpectGenericPins(StreamPins want) {
+  Xoshiro256 rng(7);
+  std::vector<double> data(200'003);
+  for (double& v : data) v = rng.NextDouble();
+  Impl itemwise(0.01, 7), batched(0.01, 7);
+  for (double v : data) itemwise.Insert(v);
+  batched.InsertBatch(data.data(), data.size());
+  EXPECT_EQ(PinsOf<double>(itemwise), want) << "item-wise";
+  EXPECT_EQ(PinsOf<double>(batched), want) << "batched";
+}
+
+TEST(StreamGoldenTest, GenericPathIsPinned) {
+  ExpectGenericPins<RandomSketchImpl<double>>({0x12068880u, 0x3250f27du});
+  ExpectGenericPins<Mrl99Impl<double>>({0xc28a2a84u, 0xee3f49e0u});
 }
 
 }  // namespace
